@@ -37,6 +37,7 @@ from .s3world import (
     concurrence_closed,
     gain,
     gain_closed_form,
+    gain_curve,
     ie_checks,
     ie_reach,
     ie_state,
@@ -48,6 +49,7 @@ from .s3world import (
     pure_vector,
     reduce_five_coeff,
     s3_spectrum,
+    t_grid,
     t_param,
 )
 from .permworld import (

@@ -26,17 +26,19 @@ from .s3world import (
     H2,
     H3,
     UNIT,
+    GainResult,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
     check_s3_relations,
     concurrence_closed,
-    gain,
+    gain_curve,
     ie_state,
     is_pure,
     maximize_gain,
     mean_values,
     measure_update,
+    t_grid,
     t_param,
 )
 from .twoqubit import concurrence_oracle, purity, validate_density
@@ -140,7 +142,8 @@ def _report_payload(world: str, report: Report, extra: dict | None = None) -> di
     if extra:
         payload.update(extra)
     payload["checks"] = [
-        {"name": c.name, "passed": c.passed} for c in report
+        {"name": c.name, "passed": c.passed, "deviation": _sig(c.deviation)}
+        for c in report
     ]
     return payload
 
@@ -228,18 +231,18 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _sweep_rows(axis: MeasurementAxis, points: int):
-    for k in range(1, points + 1):
-        theta = (k / points) * math.pi - math.pi / 2
-        t = math.inf if k == points else math.tan(theta)
-        yield gain(axis, t)
+def _sweep_rows(axis: MeasurementAxis, points: int) -> list[GainResult]:
+    ts = t_grid(points)
+    c_before, c_after = gain_curve(axis, ts)
+    columns = (ts, c_after - c_before, c_before, c_after)
+    return [GainResult(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
     axis = MeasurementAxis(args.axis)
-    rows = list(_sweep_rows(axis, args.points))
+    rows = _sweep_rows(axis, args.points)
     best = maximize_gain(axis)
     if args.format == "json":
         payload = {

@@ -20,9 +20,6 @@ class Report:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def __iter__(self):
         return iter(self.checks)
 

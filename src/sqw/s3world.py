@@ -357,6 +357,80 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     return (1.0 + t * t - 2.0 * abs(t)) / (2.0 * den)
 
 
+def t_grid(n: int) -> np.ndarray:
+    """The compactified grid t_k = tan(k pi / n - pi / 2), k = 1..n, as float64.
+
+    The last point (k = n, theta = pi/2) is ``math.inf``. Each tangent is taken
+    with ``math.tan``, so the values equal the scalar loop's bit for bit
+    (``np.tan`` differs from it in the last place on some grid points).
+    Raises ``PreconditionViolated`` for ``n < 1``, with the shortfall
+    ``1 - n`` as its violation.
+    """
+    if n < 1:
+        raise PreconditionViolated(
+            f"grid needs at least one point, got {n}", violation=float(1 - n)
+        )
+    thetas = np.arange(1, n) / n * math.pi - math.pi / 2
+    return np.append(np.fromiter(map(math.tan, thetas), float, n - 1), math.inf)
+
+
+def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # Where S3Coeffs(1, b, c, d) or the window check of the scalar route raises.
+    # A non-finite coefficient makes the normalization defect non-finite.
+    dev = np.abs(1.0 + b + c + d - 0.5)
+    q = b * c + b * d + c * d
+    return ~((dev <= NORM_TOL) & (q >= -WINDOW_TOL) & (q <= WINDOW_MAX + WINDOW_TOL))
+
+
+def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
+    """``(c_before, c_after)`` of ``gain(axis, t)`` for every ``t`` in ``ts``.
+
+    The array form of ``gain``: the same float operations in the same order
+    (``t_param``, ``measure_update``, ``concurrence_closed`` and
+    ``pure_concurrence``), so every entry equals the scalar value bit for bit,
+    and the same checks (finite coefficients, a + b + c + d = 1/2 and the
+    [0, 1/12] window, before and after the channel). If any point fails, the
+    first one is re-run through ``gain``, which raises its exact error. Worth
+    it for grids: a batch of one costs about ten scalar calls.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    inf = np.isinf(ts)
+    big = (np.abs(ts) > 1.0) & ~inf
+    small = ~(big | inf)
+    b, c, d, c_before = np.empty((4,) + ts.shape)
+    # Branch |t| > 1 of t_param and pure_concurrence, evaluated in u = 1/t.
+    u = 1.0 / ts[big]
+    s = u * u + u + 1.0
+    den = 2.0 * s
+    b[big], c[big], d[big] = -(u + 1.0) / den, -(u * u + u) / den, u / den
+    c_before[big] = np.abs(u) / s
+    t = ts[small]
+    s = 1.0 + t + t * t
+    den = 2.0 * s
+    b[small], c[small], d[small] = -t * (1.0 + t) / den, -(1.0 + t) / den, t / den
+    c_before[small] = np.abs(t) / s
+    b[inf], c[inf], d[inf], c_before[inf] = -0.5, 0.0, 0.0, 0.0
+    bad = _invalid_unit_a(b, c, d)
+    if axis is MeasurementAxis.H1:
+        b2, c2 = b, (c + d) / 2.0
+        d2 = c2
+    elif axis is MeasurementAxis.H2:
+        b2, c2 = (b + d) / 2.0, c
+        d2 = b2
+    else:
+        b2 = c2 = (b + c) / 2.0
+        d2 = d
+    bad |= _invalid_unit_a(b2, c2, d2)
+    if bad.any():
+        t_bad = float(ts.flat[np.argmax(bad)])
+        gain(axis, t_bad)
+        raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
+    prod = (0.5 + b2) * (0.5 + c2)
+    # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
+    c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    return c_before, c_after
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -373,25 +447,38 @@ def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
     return (value, 0, -math.inf)
 
 
+def _grid_winner(axis: MeasurementAxis, n: int) -> tuple[int, float, float]:
+    """1-based index, t and gain of the best point of ``t_grid(n)``.
+
+    Picks what a scan over the grid keeping strict ``_candidate_key``
+    improvements picks: the largest key, the first of equal keys.
+    """
+    ts = t_grid(n)
+    c_before, c_after = gain_curve(axis, ts)
+    deltas = c_after - c_before
+    best_val = float(deltas.max())
+    i = max(
+        np.flatnonzero(deltas == best_val).tolist(),
+        key=lambda j: _candidate_key(best_val, float(ts[j])),
+    )
+    return i + 1, float(ts[i]), best_val
+
+
 def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResult:
     """Maximize the measurement gain over all pure states.
 
     The real line plus the point at infinity is swept through the compact
     angle theta in (-pi/2, pi/2] with t = tan(theta); a uniform grid pass
-    is followed by golden-section refinement of the best bracket until its
-    width drops below 1e-10 in t (or 1e-12 in theta, which bounds the work
-    when the bracket touches the infinite endpoint). Exact ties resolve to
-    finite t over infinity, then to the smallest |t|.
+    over ``t_grid(grid_points)`` is followed by golden-section refinement of
+    the best bracket until its width drops below 1e-10 in t (or 1e-12 in
+    theta, which bounds the work when the bracket touches the infinite
+    endpoint). The grid pass is vectorised through ``gain_curve``, bit for
+    bit equal to calling ``gain`` per point; the refinement calls ``gain``.
+    Exact ties resolve to finite t over infinity, then to the smallest |t|.
+    Raises ``PreconditionViolated`` for ``grid_points < 1``.
     """
     n = grid_points
-    best_val, best_t, best_k = -math.inf, 0.0, 1
-
-    for k in range(1, n + 1):
-        theta = (k / n) * math.pi - math.pi / 2
-        t = math.inf if k == n else math.tan(theta)
-        v = gain(axis, t).delta_c
-        if _candidate_key(v, t) > _candidate_key(best_val, best_t):
-            best_val, best_t, best_k = v, t, k
+    best_k, best_t, best_val = _grid_winner(axis, n)
 
     step = math.pi / n
     lo = (best_k - 1) / n * math.pi - math.pi / 2 if best_k > 1 else -math.pi / 2 + step / 2

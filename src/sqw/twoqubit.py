@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, TraceNotOne
+from .errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
 from .linalg import Mat4, herm_eigen, sqrt_psd
 
 HERMITIAN_TOL = 1e-10
@@ -47,14 +47,29 @@ class ConcurrenceReport:
 
 
 def validate_density(m) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity of a 4x4 matrix.
+    """Check shape, Hermiticity, unit trace and positivity of a 4x4 matrix.
 
     Raises ``NotHermitian``, ``TraceNotOne`` or ``NotPSD`` with the measured
-    violation magnitude; returns the validated wrapper otherwise.
+    violation magnitude; returns the validated wrapper otherwise. A shape
+    other than (4, 4) raises ``PreconditionViolated``, whose violation is the
+    distance of the shape from (4, 4): the sum of each axis length's gap to 4,
+    plus 4 per missing or extra axis. A NaN or infinite entry makes the
+    Hermiticity defect non-finite and raises ``NotHermitian``, whose
+    violation is then the number of non-finite entries.
     """
     m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        gap = sum(abs(n - 4) for n in m.shape) + 4 * abs(m.ndim - 2)
+        raise PreconditionViolated(
+            f"density matrix must be 4x4, got shape {m.shape}", violation=float(gap)
+        )
     defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
+        bad = int(np.count_nonzero(~np.isfinite(m)))
+        if bad:
+            raise NotHermitian(
+                f"density matrix has {bad} non-finite entries", violation=float(bad)
+            )
         raise NotHermitian(
             f"density matrix not Hermitian (defect {defect:.3e})", violation=defect
         )

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from sqw.cli import main
+from sqw.s3world import MeasurementAxis, gain
 
 
 def run(capsys, *argv):
@@ -29,6 +30,7 @@ def test_check_json(capsys):
     assert payload["all_pass"] is True
     assert payload["subgroup_count"] == 30
     assert payload["order6_count"] == 4
+    assert [c["deviation"] for c in payload["checks"]] == [0.0] * 5
 
 
 def test_check_x_json(capsys):
@@ -37,6 +39,7 @@ def test_check_x_json(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert len(payload["checks"]) == 48
+    assert all(c["deviation"] <= 1e-12 for c in payload["checks"])
 
 
 # ---- state ----
@@ -187,6 +190,20 @@ def test_sweep_small_csv(capsys, tmp_path):
         assert len(fields) == 4
         before, after, delta = map(float, fields[1:])
         assert delta == pytest.approx(after - before, abs=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
+def test_sweep_csv_rows_match_scalar_gain(capsys, tmp_path, axis):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--axis", axis, "--points", "101", "--out", str(out_path))
+    assert code == 0
+    expected = []
+    for k in range(1, 102):
+        t = math.inf if k == 101 else math.tan((k / 101) * math.pi - math.pi / 2)
+        r = gain(MeasurementAxis(axis), t)
+        t_text = "inf" if math.isinf(t) else f"{t:.12g}"
+        expected.append(f"{t_text},{r.c_before:.12g},{r.c_after:.12g},{r.delta_c:.12g}")
+    assert out_path.read_text().splitlines()[1:-1] == expected
 
 
 def test_sweep_h1_max_line(capsys, tmp_path):

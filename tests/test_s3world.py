@@ -19,6 +19,8 @@ from sqw.s3world import (
     H3,
     KERNEL_VECTORS,
     UNIT,
+    _candidate_key,
+    _grid_winner,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
@@ -26,6 +28,7 @@ from sqw.s3world import (
     concurrence_closed,
     gain,
     gain_closed_form,
+    gain_curve,
     ie_checks,
     ie_reach,
     ie_state,
@@ -40,6 +43,7 @@ from sqw.s3world import (
     random_coeffs,
     reduce_five_coeff,
     s3_spectrum,
+    t_grid,
     t_param,
 )
 from sqw.twoqubit import concurrence_oracle
@@ -52,6 +56,11 @@ def theta_grid(n):
     for k in range(1, n + 1):
         theta = (k / n) * math.pi - math.pi / 2
         yield math.inf if k == n else math.tan(theta)
+
+
+def bits(xs):
+    """Exact bit patterns, so -0.0 and 0.0 count as different."""
+    return [float(x).hex() for x in xs]
 
 
 # ---- generator relations ----
@@ -364,6 +373,53 @@ def test_maximize_gain():
     r3 = maximize_gain(MeasurementAxis.H3)
     assert r3.t_star == 0.0
     assert abs(r3.delta_c - 0.5) <= 1e-9
+
+
+GRID_SIZES = (1, 2, 3, 1001, 10000)
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_t_grid_equals_scalar_loop(n):
+    assert bits(t_grid(n)) == bits(theta_grid(n))
+
+
+@pytest.mark.parametrize("n", (0, -3))
+def test_t_grid_and_maximize_gain_reject_empty_grid(n):
+    for call in (lambda: t_grid(n), lambda: maximize_gain(MeasurementAxis.H1, n)):
+        with pytest.raises(PreconditionViolated) as err:
+            call()
+        assert err.value.violation == 1 - n
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+@pytest.mark.parametrize("axis", AXES)
+def test_gain_curve_bit_identical_to_gain(axis, n):
+    c_before, c_after = gain_curve(axis, t_grid(n))
+    scalar = [gain(axis, t) for t in theta_grid(n)]
+    assert bits(c_before) == bits(r.c_before for r in scalar)
+    assert bits(c_after) == bits(r.c_after for r in scalar)
+    assert bits(c_after - c_before) == bits(r.delta_c for r in scalar)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_gain_curve_nan_raises_like_gain(axis):
+    with pytest.raises(Exception) as scalar:
+        gain(axis, math.nan)
+    with pytest.raises(type(scalar.value)) as batch:
+        gain_curve(axis, [0.0, 1.0, math.nan, math.inf])
+    assert type(batch.value) is type(scalar.value)
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 101, 1001, 10000))
+def test_grid_winner_matches_scalar_scan(n):
+    for axis in AXES:
+        best_val, best_t, best_k = -math.inf, 0.0, 1
+        for k, t in enumerate(theta_grid(n), start=1):
+            v = gain(axis, t).delta_c
+            if _candidate_key(v, t) > _candidate_key(best_val, best_t):
+                best_val, best_t, best_k = v, t, k
+        assert _grid_winner(axis, n) == (best_k, best_t, best_val)
 
 
 # ---- the irreducible entangled state ----

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqw.errors import NotHermitian, NotPSD, TraceNotOne
+from sqw.errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
 from sqw.twoqubit import (
     concurrence_oracle,
     entanglement_of_formation,
@@ -78,6 +78,31 @@ def test_validate_rejects_non_hermitian_and_bad_trace():
     with pytest.raises(TraceNotOne) as err:
         validate_density(np.eye(4, dtype=complex) / 2)
     assert err.value.violation == pytest.approx(1.0)
+
+
+def _with_entry(value, index=(0, 0)):
+    m = np.eye(4, dtype=complex) / 4
+    m[index] = value
+    return m
+
+
+# inf - inf in the Hermiticity defect warns before the check rejects the matrix.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "m, error, violation",
+    [
+        (np.full((4, 4), np.nan), NotHermitian, 16.0),
+        (_with_entry(np.nan, (2, 1)), NotHermitian, 1.0),
+        (_with_entry(np.inf), NotHermitian, 1.0),
+        (np.eye(3) / 3, PreconditionViolated, 2.0),
+    ],
+    ids=["all-nan", "one-nan", "inf-diagonal", "3x3"],
+)
+def test_non_finite_and_misshapen_input_rejected(m, error, violation):
+    for call in (validate_density, concurrence_oracle):
+        with pytest.raises(error) as err:
+            call(m)
+        assert err.value.violation == violation
 
 
 # ---- purity ----
