@@ -16,7 +16,7 @@ from .errors import (
     PreconditionViolated,
     TraceNotOne,
 )
-from .linalg import adjoint, frob_dist, herm_eigen, identity, mat4, sqrt_psd, vec4
+from .linalg import adjoint, frob_dist, herm_eigen, identity, mat4, vec4
 from .report import CheckResult, Report
 from .twoqubit import (
     ConcurrenceReport,

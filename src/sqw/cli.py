@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .errors import InvalidState
-from .linalg import herm_eigen
 from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
 from .report import CheckResult, Report
 from .s3world import (
@@ -59,9 +58,7 @@ def _t_value(t: float):
 
 
 def _state_report(coeffs: S3Coeffs) -> dict:
-    matrix = assemble_s3(coeffs)
-    dm = validate_density(matrix)
-    eigenvalues, _ = herm_eigen(matrix)
+    dm = validate_density(assemble_s3(coeffs))
     unit_a = abs(coeffs.a - 1.0) <= 1e-12
     oracle = concurrence_oracle(dm)
     if unit_a:
@@ -79,7 +76,7 @@ def _state_report(coeffs: S3Coeffs) -> dict:
             "c": _sig(coeffs.c),
             "d": _sig(coeffs.d),
         },
-        "eigenvalues": [_sig(v) for v in eigenvalues],
+        "eigenvalues": [_sig(v) for v in dm.eigenvalues],
         "pure": bool(pure),
         "criterion_R": criterion_r,
         "concurrence_closed": closed,

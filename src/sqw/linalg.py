@@ -1,15 +1,15 @@
 """Dense 4x4 complex linear algebra kernel.
 
-Thin, deterministic layer over numpy: validated constructors, Hermitian
-eigendecomposition and the positive-semidefinite matrix square root. All
-operations are pure and safe to call concurrently.
+Thin, deterministic layer over numpy: validated constructors and the
+Hermitian eigendecomposition. All operations are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD
+from .errors import NotHermitian
 
 # Matrices and vectors are plain complex128 numpy arrays.
 Mat4 = np.ndarray
@@ -66,8 +66,16 @@ def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with eigenvalues ``w`` real and ascending and the
     corresponding orthonormal eigenvectors as the columns of ``v``. The
     result is deterministic for identical input. Raises ``NotHermitian``
-    when the Hermiticity defect exceeds ``tol``.
+    when the Hermiticity defect exceeds ``tol``, and for any NaN or infinite
+    entry, with the number of non-finite entries as the violation; that check
+    comes first, so no arithmetic ever runs on a non-finite value.
     """
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = int(finite.size - np.count_nonzero(finite))
+        raise NotHermitian(
+            f"matrix has {bad} non-finite entries", violation=float(bad)
+        )
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NotHermitian(
@@ -76,20 +84,3 @@ def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         )
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def sqrt_psd(m: Mat4, neg_tol: float = 1e-10) -> Mat4:
-    """Hermitian square root of a positive-semidefinite matrix.
-
-    Eigenvalues in ``[-neg_tol, 0)`` are rounding artefacts of exactly
-    rank-deficient inputs and are clamped to zero; anything more negative
-    raises ``NotPSD``.
-    """
-    w, v = herm_eigen(m)
-    if w[0] < -neg_tol:
-        raise NotPSD(
-            f"matrix has negative eigenvalue {w[0]:.3e}", violation=float(-w[0])
-        )
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
-from .linalg import Mat4, herm_eigen, sqrt_psd
+from .errors import NotPSD, PreconditionViolated, TraceNotOne
+from .linalg import Mat4, herm_eigen
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -24,17 +24,19 @@ SIGMA_Y.setflags(write=False)
 SPIN_FLIP_OP = np.kron(SIGMA_Y, SIGMA_Y)
 SPIN_FLIP_OP.setflags(write=False)
 
-# Eigenvalues of the flipped product below this relative noise floor are
-# rounding residue of exact zeros; treating them as zero keeps the square
-# roots from amplifying 1e-16 errors to 1e-8.
-_NOISE_FLOOR = 256 * np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated two-qubit density matrix. Build via ``validate_density``."""
+    """A validated two-qubit density matrix. Build via ``validate_density``.
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (the matching columns)
+    are the decomposition the positivity check computed; all three arrays
+    are read-only.
+    """
 
     m: Mat4
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,9 @@ def validate_density(m) -> DensityMatrix:
     violation magnitude; returns the validated wrapper otherwise. A shape
     other than (4, 4) raises ``PreconditionViolated``, whose violation is the
     distance of the shape from (4, 4): the sum of each axis length's gap to 4,
-    plus 4 per missing or extra axis. A NaN or infinite entry makes the
-    Hermiticity defect non-finite and raises ``NotHermitian``, whose
-    violation is then the number of non-finite entries.
+    plus 4 per missing or extra axis. A NaN or infinite entry raises
+    ``NotHermitian`` (from ``herm_eigen``), whose violation is then the number
+    of non-finite entries.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -63,47 +65,37 @@ def validate_density(m) -> DensityMatrix:
         raise PreconditionViolated(
             f"density matrix must be 4x4, got shape {m.shape}", violation=float(gap)
         )
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if not defect <= HERMITIAN_TOL:
-        bad = int(np.count_nonzero(~np.isfinite(m)))
-        if bad:
-            raise NotHermitian(
-                f"density matrix has {bad} non-finite entries", violation=float(bad)
-            )
-        raise NotHermitian(
-            f"density matrix not Hermitian (defect {defect:.3e})", violation=defect
-        )
-    tr_err = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
+    w, v = herm_eigen(m, tol=HERMITIAN_TOL)
+    tr = np.trace(m)
+    tr_err = abs(tr.real - 1.0) + abs(tr.imag)
     if tr_err > TRACE_TOL:
         raise TraceNotOne(
             f"density matrix trace differs from 1 by {tr_err:.3e}", violation=tr_err
         )
-    w, _ = herm_eigen(m, tol=HERMITIAN_TOL)
     if w[0] < -EIGEN_TOL:
         raise NotPSD(
             f"density matrix has negative eigenvalue {w[0]:.3e}",
             violation=float(-w[0]),
         )
     out = m.copy()
-    out.setflags(write=False)
-    return DensityMatrix(out)
+    for a in (out, w, v):
+        a.setflags(write=False)
+    return DensityMatrix(out, w, v)
 
 
-def _as_matrix(rho) -> Mat4:
-    if isinstance(rho, DensityMatrix):
-        return rho.m
-    return validate_density(rho).m
+def _as_density(rho) -> DensityMatrix:
+    return rho if isinstance(rho, DensityMatrix) else validate_density(rho)
 
 
 def purity(rho) -> float:
     """Tr(rho^2); equals 1 for pure states and 1/4 for the maximally mixed one."""
-    m = _as_matrix(rho)
+    m = _as_density(rho).m
     return float(np.trace(m @ m).real)
 
 
 def spin_flip(rho) -> Mat4:
     """The spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = _as_matrix(rho)
+    m = _as_density(rho).m
     return SPIN_FLIP_OP @ m.conj() @ SPIN_FLIP_OP
 
 
@@ -121,32 +113,34 @@ def entanglement_of_formation(concurrence: float) -> float:
 def concurrence_oracle(rho) -> ConcurrenceReport:
     """Concurrence of a two-qubit density matrix, no structure assumed.
 
-    Pipeline: form the spin-flipped matrix ``rho~``, take the eigenvalues
-    ``omega_i`` of the Hermitian product ``sqrt(rho) rho~ sqrt(rho)`` (equal
-    to those of ``rho rho~``) in decreasing order, then
+    Wootters (PRL 80, 2245, 1998): with the spin flip
+    ``rho~ = Sigma rho* Sigma``, ``Sigma = sigma_y (x) sigma_y``, let
+    ``omega_i`` be the eigenvalues of ``rho rho~`` in decreasing order and
+    ``lambda_i = sqrt(omega_i)``; then
 
-        C = max(0, sqrt(omega_1) - sqrt(omega_2) - sqrt(omega_3) - sqrt(omega_4))
+        C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4)
 
     and the entanglement of formation is the binary entropy of
     ``(1 + sqrt(1 - C^2)) / 2``.
+
+    The ``lambda_i`` are taken without forming ``rho rho~`` (Uhlmann,
+    PRA 62, 032307, 2000). Factor ``rho = psi psi^dagger`` with
+    ``psi = V diag(sqrt(w))`` from the eigendecomposition ``rho = V diag(w)
+    V^dagger`` that validation already computed. Since ``Sigma`` is real and
+    symmetric, ``rho rho~ = psi (psi^dagger Sigma psi*) psi^T Sigma``, whose
+    eigenvalues are those of ``(psi^dagger Sigma psi*)(psi^T Sigma psi) =
+    M^dagger M`` with ``M = psi^T Sigma psi``. So the ``lambda_i`` are the
+    singular values of ``M``: one SVD of a 4x4 matrix, nonnegative and
+    descending by construction, with no square root of a rounded eigenvalue.
+    A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
+    the one inside ``validate_density``.
     """
-    m = _as_matrix(rho)
-    root = sqrt_psd(m)
-    flipped = SPIN_FLIP_OP @ m.conj() @ SPIN_FLIP_OP
-    prod = root @ flipped @ root
-    prod = (prod + prod.conj().T) / 2
-    w, _ = herm_eigen(prod, tol=1e-8)
-    if w[0] < -EIGEN_TOL:
-        raise NotPSD(
-            f"spin-flip product has eigenvalue {w[0]:.3e}", violation=float(-w[0])
-        )
-    floor = max(w[-1], 0.0) * _NOISE_FLOOR
-    w = np.where(w < floor, 0.0, np.clip(w, 0.0, None))
-    omegas = np.sort(w)[::-1]
-    lam = np.sqrt(omegas)
-    c = min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
+    dm = _as_density(rho)
+    psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
+    lam = np.linalg.svd(psi.T @ SPIN_FLIP_OP @ psi, compute_uv=False).tolist()
+    c = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
     return ConcurrenceReport(
-        omegas=tuple(float(o) for o in omegas),
+        omegas=tuple(x * x for x in lam),
         concurrence=c,
         eof=entanglement_of_formation(c),
     )

@@ -118,20 +118,28 @@ def check_x_relations() -> Report:
     return Report(tuple(checks))
 
 
-def assemble_x(coeffs: XCoeffs) -> DensityMatrix:
-    """Assemble (1 + e E + P.lambda + S.tau) / 4 and validate it.
+def _ball_norms(coeffs: XCoeffs) -> tuple[float, float]:
+    """``(|P|, |S|)``, once the positivity ball is checked.
 
     Positivity requires |P| <= 1 + e and |S| <= 1 - e; violations raise
     ``NotPSD`` with the size of the overshoot.
     """
-    overshoot = max(
-        coeffs.p_norm - (1 + coeffs.e), coeffs.s_norm - (1 - coeffs.e)
-    )
+    pn, sn = coeffs.p_norm, coeffs.s_norm
+    overshoot = max(pn - (1 + coeffs.e), sn - (1 - coeffs.e))
     if overshoot > _WINDOW_TOL:
         raise NotPSD(
             f"coefficients exceed the positivity ball by {overshoot:.3e}",
             violation=float(overshoot),
         )
+    return pn, sn
+
+
+def assemble_x(coeffs: XCoeffs) -> DensityMatrix:
+    """Assemble (1 + e E + P.lambda + S.tau) / 4 and validate it.
+
+    Coefficients outside the positivity ball raise ``NotPSD``.
+    """
+    _ball_norms(coeffs)
     m = UNIT + coeffs.e * E
     for i in range(3):
         m = m + coeffs.p[i] * LAMBDA[i] + coeffs.s[i] * TAU[i]
@@ -139,8 +147,13 @@ def assemble_x(coeffs: XCoeffs) -> DensityMatrix:
 
 
 def x_spectrum(coeffs: XCoeffs) -> tuple[float, float, float, float]:
-    """Closed-form eigenvalues (1 + e +- |P|)/4, (1 - e +- |S|)/4, ascending."""
-    e, pn, sn = coeffs.e, coeffs.p_norm, coeffs.s_norm
+    """Closed-form eigenvalues (1 + e +- |P|)/4, (1 - e +- |S|)/4, ascending.
+
+    Coefficients outside the positivity ball raise ``NotPSD``, as in
+    ``assemble_x``.
+    """
+    e = coeffs.e
+    pn, sn = _ball_norms(coeffs)
     vals = [(1 + e + pn) / 4, (1 + e - pn) / 4, (1 - e + sn) / 4, (1 - e - sn) / 4]
     return tuple(sorted(vals))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sqw import linalg
-from sqw.errors import NotHermitian, NotPSD
+from sqw.errors import NotHermitian
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -10,12 +10,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 def random_hermitian(rng):
     g = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
     return (g + g.conj().T) / 2
-
-
-def random_psd(rng):
-    g = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    m = g @ g.conj().T
-    return m / np.abs(m).max()
 
 
 def test_mat4_rejects_bad_shape():
@@ -105,6 +99,17 @@ def test_herm_eigen_rejects_non_hermitian():
     assert err.value.violation > 0
 
 
+@pytest.mark.parametrize(
+    "m, bad",
+    [(np.full((4, 4), np.nan), 16), (np.diag([np.inf, 1, 1, 1]).astype(complex), 1)],
+    ids=["all-nan", "inf-diagonal"],
+)
+def test_herm_eigen_rejects_non_finite_entries(m, bad):
+    with pytest.raises(NotHermitian) as err:
+        linalg.herm_eigen(m)
+    assert err.value.violation == bad
+
+
 def test_herm_eigen_contracts_on_random_input():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -123,27 +128,6 @@ def test_herm_eigen_deterministic():
     w1, v1 = linalg.herm_eigen(m)
     w2, v2 = linalg.herm_eigen(m)
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-
-
-def test_sqrt_psd_identity_and_diagonal():
-    assert np.allclose(linalg.sqrt_psd(np.eye(4, dtype=complex)), np.eye(4))
-    r = linalg.sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex))
-    np.testing.assert_allclose(r, np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-12)
-
-
-def test_sqrt_psd_squares_back():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        m = random_psd(rng)
-        r = linalg.sqrt_psd(m)
-        assert linalg.frob_dist(r @ r, m) <= 1e-9
-        assert linalg.hermiticity_defect(r) == 0.0
-
-
-def test_sqrt_psd_rejects_negative_eigenvalue():
-    with pytest.raises(NotPSD) as err:
-        linalg.sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-3]).astype(complex))
-    assert err.value.violation == pytest.approx(1e-3)
 
 
 def test_frob_dist_and_mats_close():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from sqw import s3world, twoqubit, xworld
 from sqw.errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
 from sqw.twoqubit import (
     concurrence_oracle,
@@ -86,8 +89,6 @@ def _with_entry(value, index=(0, 0)):
     return m
 
 
-# inf - inf in the Hermiticity defect warns before the check rejects the matrix.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "m, error, violation",
     [
@@ -103,6 +104,22 @@ def test_non_finite_and_misshapen_input_rejected(m, error, violation):
         with pytest.raises(error) as err:
             call(m)
         assert err.value.violation == violation
+
+
+def test_decomposition_kept_read_only_and_rebuilds_the_matrix():
+    rng = np.random.default_rng(43)
+    states = [random_density(rng) for _ in range(50)]
+    states += [SYMMETRIC_MIXED, np.outer(BELL, BELL.conj())]
+    for rho in states:
+        dm = validate_density(rho)
+        w, v = dm.eigenvalues, dm.eigenvectors
+        assert np.array_equal(w, np.linalg.eigh(rho)[0])
+        assert np.all(np.diff(w) >= 0)
+        rebuilt = (v * w) @ v.conj().T
+        assert np.abs(rebuilt - dm.m).max() <= 1e-14
+        for a in (dm.m, w, v):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 # ---- purity ----
@@ -205,6 +222,89 @@ def test_oracle_report_invariants():
         assert rep.eof == pytest.approx(
             entanglement_of_formation(rep.concurrence), abs=1e-12
         )
+
+
+def test_oracle_on_density_matrix_makes_no_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(47)
+    states = [validate_density(random_density(rng)) for _ in range(20)]
+    states.append(validate_density(SYMMETRIC_MIXED))
+    expected = [concurrence_oracle(dm.m) for dm in states]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    monkeypatch.setattr(twoqubit, "herm_eigen", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    assert [concurrence_oracle(dm) for dm in states] == expected
+
+
+# ---- oracle precision against independent references ----
+
+ORACLE_TOL = 1e-13
+
+
+def _swap_min_form(b, c, d):
+    return 2.0 * min(abs(d), math.sqrt(max((0.5 + b) * (0.5 + c), 0.0)))
+
+
+def _pure_circle(t):
+    if math.isinf(t):
+        return 0.0
+    if abs(t) > 1.0:
+        u = 1.0 / t
+        return abs(u) / (u * u + u + 1.0)
+    return abs(t) / (1.0 + t + t * t)
+
+
+def _yu_eberly(m):
+    outer = abs(m[0, 3]) - math.sqrt(max(m[1, 1].real * m[2, 2].real, 0.0))
+    inner = abs(m[1, 2]) - math.sqrt(max(m[0, 0].real * m[3, 3].real, 0.0))
+    return 2.0 * max(0.0, outer, inner)
+
+
+def _circle_ts(seed):
+    rng = np.random.default_rng(seed)
+    ts = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, math.inf, -math.inf]
+    return ts + [math.tan(x) for x in rng.uniform(-math.pi / 2, math.pi / 2, 500)]
+
+
+def test_oracle_matches_swap_min_form_on_whole_disk():
+    rng = np.random.default_rng(59)
+    coeffs = [s3world.random_coeffs(rng) for _ in range(2000)]
+    coeffs += [s3world.t_param(t) for t in _circle_ts(53)]
+    coeffs.append(s3world.ie_state())
+    dev = max(
+        abs(
+            concurrence_oracle(s3world.assemble_s3(k)).concurrence
+            - _swap_min_form(k.b, k.c, k.d)
+        )
+        for k in coeffs
+    )
+    assert dev <= ORACLE_TOL
+
+
+def test_oracle_matches_pure_circle_concurrence():
+    # Near t = 0 and t = +-inf, 1/2 + c or 1/2 + b is below the rounding of
+    # the coefficients, so the min-form loses its digits there; |t|/(1+t+t^2)
+    # does not, and takes those points.
+    ts = _circle_ts(67) + [1e-8, -1e-8, 1e8, -1e8, 1e-300, 1e300]
+    dev = max(
+        abs(
+            concurrence_oracle(s3world.assemble_s3(s3world.t_param(t))).concurrence
+            - _pure_circle(t)
+        )
+        for t in ts
+    )
+    assert dev <= ORACLE_TOL
+
+
+def test_oracle_matches_yu_eberly_on_x_states():
+    rng = np.random.default_rng(61)
+    dev = 0.0
+    for _ in range(2000):
+        dm = xworld.assemble_x(xworld.random_coeffs(rng))
+        dev = max(dev, abs(concurrence_oracle(dm).concurrence - _yu_eberly(dm.m)))
+    assert dev <= ORACLE_TOL
 
 
 # ---- entanglement of formation ----

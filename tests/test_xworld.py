@@ -59,6 +59,18 @@ def test_assemble_rejects_coefficients_outside_ball():
         assemble_x(XCoeffs(e=0.0, p=(2.0, 0.0, 0.0), s=ZERO3))
 
 
+def test_x_spectrum_rejects_what_assemble_rejects():
+    # e = 3 alone would give the "eigenvalues" (-1/2, -1/2, 1, 1).
+    for coeffs, overshoot in (
+        (XCoeffs(e=3.0, p=ZERO3, s=ZERO3), 2.0),
+        (XCoeffs(e=0.5, p=ZERO3, s=(0.0, 0.75, 0.0)), 0.25),
+    ):
+        for call in (x_spectrum, assemble_x):
+            with pytest.raises(NotPSD) as err:
+                call(coeffs)
+            assert err.value.violation == overshoot
+
+
 def test_x_pattern_zeros_exact():
     rng = np.random.default_rng(43)
     for _ in range(200):
