@@ -24,6 +24,7 @@ from .s3world import (
     H1,
     H2,
     H3,
+    NORM_TOL,
     UNIT,
     GainResult,
     MeasurementAxis,
@@ -40,7 +41,7 @@ from .s3world import (
     t_grid,
     t_param,
 )
-from .twoqubit import concurrence_oracle, purity, validate_density
+from .twoqubit import PURE_TOL, concurrence_oracle, purity, validate_density
 from .xworld import check_x_relations
 
 
@@ -59,14 +60,14 @@ def _t_value(t: float):
 
 def _state_report(coeffs: S3Coeffs) -> dict:
     dm = validate_density(assemble_s3(coeffs))
-    unit_a = abs(coeffs.a - 1.0) <= 1e-12
+    unit_a = abs(coeffs.a - 1.0) <= NORM_TOL
     oracle = concurrence_oracle(dm)
     if unit_a:
         pure = is_pure(coeffs)
         criterion_r = _sig(mean_values(coeffs).r)
         closed = _sig(concurrence_closed(coeffs))
     else:
-        pure = abs(purity(dm) - 1.0) <= 1e-9
+        pure = abs(purity(dm) - 1.0) <= PURE_TOL
         criterion_r = None
         closed = None
     return {

@@ -1,11 +1,13 @@
 """Dense 4x4 complex linear algebra kernel.
 
-Thin, deterministic layer over numpy: validated constructors and the
+Thin, deterministic layer over numpy: read-only constant matrices and the
 Hermitian eigendecomposition. All operations are pure and safe to call
 concurrently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,48 +18,18 @@ Mat4 = np.ndarray
 Vec4 = np.ndarray
 
 
-def mat4(entries) -> Mat4:
-    """Build a 4x4 complex matrix, rejecting non-finite entries."""
-    m = np.array(entries, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+def locked(rows) -> Mat4:
+    """A read-only complex matrix, for the package's constant generators."""
+    m = np.array(rows, dtype=complex)
+    m.setflags(write=False)
     return m
 
 
-def vec4(entries) -> Vec4:
-    """Build a length-4 complex vector, rejecting non-finite entries."""
-    v = np.array(entries, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError(f"expected a length-4 vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    return v
+UNIT = locked(np.eye(4))
 
 
-def identity() -> Mat4:
-    return np.eye(4, dtype=complex)
-
-
-def adjoint(m: Mat4) -> Mat4:
-    """Conjugate transpose."""
-    return m.conj().T.copy()
-
-
-def frob_dist(a: Mat4, b: Mat4) -> float:
-    """Frobenius distance ||a - b||_F."""
-    return float(np.linalg.norm(a - b))
-
-
-def mats_close(a: Mat4, b: Mat4, tol: float) -> bool:
-    """Entrywise comparison with an explicit absolute tolerance."""
-    return bool(np.all(np.abs(a - b) <= tol))
-
-
-def hermiticity_defect(m: Mat4) -> float:
-    """||m - m^dagger||_F, zero exactly for Hermitian input."""
-    return float(np.linalg.norm(m - m.conj().T))
+#: Above this entry modulus the squares in the Frobenius norm could overflow.
+_SCALE_ABOVE = 1e150
 
 
 def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -66,17 +38,26 @@ def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with eigenvalues ``w`` real and ascending and the
     corresponding orthonormal eigenvectors as the columns of ``v``. The
     result is deterministic for identical input. Raises ``NotHermitian``
-    when the Hermiticity defect exceeds ``tol``, and for any NaN or infinite
-    entry, with the number of non-finite entries as the violation; that check
-    comes first, so no arithmetic ever runs on a non-finite value.
+    for any NaN or infinite entry, with the number of non-finite entries as
+    the violation, and when the Hermiticity defect ``||m - m^dagger||_F``
+    exceeds ``tol``. With entries above 1e150 the defect is taken on a
+    rescaled copy and scaled back as a Python float, so it never overflows
+    a numpy operation; at worst it is inf.
     """
-    finite = np.isfinite(m)
-    if not finite.all():
+    s = float(np.abs(m).max())
+    if not math.isfinite(s):
+        finite = np.isfinite(m)
         bad = int(finite.size - np.count_nonzero(finite))
-        raise NotHermitian(
-            f"matrix has {bad} non-finite entries", violation=float(bad)
-        )
-    defect = hermiticity_defect(m)
+        if bad:
+            raise NotHermitian(
+                f"matrix has {bad} non-finite entries", violation=float(bad)
+            )
+    if s > _SCALE_ABOVE:
+        s = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+        x = m / s
+        defect = s * float(np.linalg.norm(x - x.conj().T))
+    else:
+        defect = float(np.linalg.norm(m - m.conj().T))
     if defect > tol:
         raise NotHermitian(
             f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})",

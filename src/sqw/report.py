@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -25,3 +27,13 @@ class Report:
 
     def __len__(self) -> int:
         return len(self.checks)
+
+
+def exact(name: str, lhs, rhs) -> CheckResult:
+    """Check ``lhs == rhs`` entrywise with exact equality.
+
+    The deviation is the largest entry of ``|lhs - rhs|``, so a failed check
+    says how far off it was.
+    """
+    passed = bool(np.array_equal(lhs, rhs))
+    return CheckResult(name, passed, float(np.abs(lhs - rhs).max()))

@@ -26,8 +26,9 @@ from .errors import (
     OutsideValidityWindow,
     PreconditionViolated,
 )
-from .linalg import Mat4, Vec4, herm_eigen
-from .report import CheckResult, Report
+from .linalg import UNIT, Mat4, Vec4, herm_eigen, locked
+from .report import CheckResult, Report, exact
+from .twoqubit import PURE_TOL
 
 NORM_TOL = 1e-12
 WINDOW_TOL = 1e-12
@@ -35,22 +36,27 @@ WINDOW_TOL = 1e-12
 WINDOW_MAX = 1.0 / 12.0
 
 
-def _locked(rows) -> Mat4:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-UNIT = _locked(np.eye(4))
 #: Pair swaps of basis states (1,2), (1,3) and (2,3); each squares to 1.
-H1 = _locked([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-H2 = _locked([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-H3 = _locked([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+H1 = locked([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+H2 = locked([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+H3 = locked([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 #: The two cyclic shifts of the first three basis states, A = B^dagger.
-A = _locked([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-B = _locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+A = locked([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+B = locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 #: Commutes with all five generators.
-CASIMIR = _locked(H1 + H2 + H3)
+CASIMIR = locked(H1 + H2 + H3)
+_GENERATORS = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
+#: The 25 products x*y = z of the generator table, with "1" the identity.
+_PRODUCTS = (
+    ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
+    ("H1", "H2", "A"), ("H2", "H3", "A"), ("H3", "H1", "A"),
+    ("H1", "H3", "B"), ("H2", "H1", "B"), ("H3", "H2", "B"),
+    ("H1", "A", "H2"), ("H2", "A", "H3"), ("H3", "A", "H1"),
+    ("A", "H1", "H3"), ("A", "H2", "H1"), ("A", "H3", "H2"),
+    ("H1", "B", "H3"), ("H2", "B", "H1"), ("H3", "B", "H2"),
+    ("B", "H1", "H2"), ("B", "H2", "H3"), ("B", "H3", "H1"),
+    ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
+)
 
 _KERNEL_1 = np.array([0, 0, 0, 1], dtype=complex)
 _KERNEL_2 = np.array([1, 1, 1, 0], dtype=complex) / np.sqrt(3)
@@ -134,43 +140,16 @@ def _require_window(coeffs: S3Coeffs) -> float:
 
 def check_s3_relations() -> Report:
     """Verify the full generator product table with exact equality."""
-    checks: list[CheckResult] = []
-
-    def add(name: str, lhs: Mat4, rhs: Mat4):
-        dev = float(np.abs(lhs - rhs).max())
-        checks.append(CheckResult(name, bool(np.array_equal(lhs, rhs)), dev))
-
-    for name, h in (("H1", H1), ("H2", H2), ("H3", H3)):
-        add(f"{name}*{name} = 1", h @ h, UNIT)
-    for name, lhs, rhs in (
-        ("H1*H2 = A", H1 @ H2, A),
-        ("H2*H3 = A", H2 @ H3, A),
-        ("H3*H1 = A", H3 @ H1, A),
-        ("H1*H3 = B", H1 @ H3, B),
-        ("H2*H1 = B", H2 @ H1, B),
-        ("H3*H2 = B", H3 @ H2, B),
-        ("H1*A = H2", H1 @ A, H2),
-        ("H2*A = H3", H2 @ A, H3),
-        ("H3*A = H1", H3 @ A, H1),
-        ("A*H1 = H3", A @ H1, H3),
-        ("A*H2 = H1", A @ H2, H1),
-        ("A*H3 = H2", A @ H3, H2),
-        ("H1*B = H3", H1 @ B, H3),
-        ("H2*B = H1", H2 @ B, H1),
-        ("H3*B = H2", H3 @ B, H2),
-        ("B*H1 = H2", B @ H1, H2),
-        ("B*H2 = H3", B @ H2, H3),
-        ("B*H3 = H1", B @ H3, H1),
-    ):
-        add(name, lhs, rhs)
-    add("A*A = B", A @ A, B)
-    add("B*B = A", B @ B, A)
-    add("A*B = 1", A @ B, UNIT)
-    add("B*A = 1", B @ A, UNIT)
-    add("A = adjoint(B)", A, B.conj().T)
-    add("A + B = C - 1", A + B, CASIMIR - UNIT)
-    for name, g in (("H1", H1), ("H2", H2), ("H3", H3), ("A", A), ("B", B)):
-        add(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, np.zeros((4, 4), complex))
+    symbols = {"1": UNIT, **_GENERATORS}
+    zero = np.zeros((4, 4), complex)
+    checks = [
+        exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z])
+        for x, y, z in _PRODUCTS
+    ]
+    checks.append(exact("A = adjoint(B)", A, B.conj().T))
+    checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
+    for name, g in _GENERATORS.items():
+        checks.append(exact(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, zero))
     return Report(tuple(checks))
 
 
@@ -209,11 +188,11 @@ def s3_spectrum(coeffs: S3Coeffs) -> tuple[float, float, float, float]:
     return (0.0, 0.0, (1.0 - disc) / 2.0, (1.0 + disc) / 2.0)
 
 
-def is_pure(coeffs: S3Coeffs, tol: float = 1e-9) -> bool:
-    """Purity test b^2 + c^2 + d^2 = 1/4 for unit-``a`` states."""
+def is_pure(coeffs: S3Coeffs) -> bool:
+    """Purity test b^2 + c^2 + d^2 = 1/4, to ``PURE_TOL``, for unit-``a`` states."""
     _require_unit_a(coeffs)
     r2 = coeffs.b ** 2 + coeffs.c ** 2 + coeffs.d ** 2
-    return abs(r2 - 0.25) <= tol
+    return abs(r2 - 0.25) <= PURE_TOL
 
 
 def t_param(t: float) -> S3Coeffs:
@@ -543,14 +522,12 @@ def ie_checks() -> Report:
     for axis in MeasurementAxis:
         fixed = measure_update(state, axis) == state
         checks.append(CheckResult(f"fixed point of {axis.value} channel", fixed))
-    for name, g in (("H1", H1), ("H2", H2), ("H3", H3), ("A", A), ("B", B)):
-        comm = rho @ g - g @ rho
-        ok = bool(np.array_equal(comm, np.zeros((4, 4), complex)))
-        checks.append(CheckResult(f"[rho, {name}] = 0 exactly", ok, float(np.abs(comm).max())))
+    zero = np.zeros((4, 4), complex)
+    for name, g in _GENERATORS.items():
+        checks.append(exact(f"[rho, {name}] = 0 exactly", rho @ g - g @ rho, zero))
     for name, g in (("A", A), ("B", B)):
         conj = g @ rho @ g.conj().T
-        ok = bool(np.array_equal(conj, rho))
-        checks.append(CheckResult(f"{name} rho {name}^dagger = rho exactly", ok))
+        checks.append(exact(f"{name} rho {name}^dagger = rho exactly", conj, rho))
     return Report(tuple(checks))
 
 

@@ -6,6 +6,7 @@ expression in the package is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from .linalg import Mat4, herm_eigen
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGEN_TOL = 1e-9
+#: Distance from the pure-state value within which a state counts as pure.
+PURE_TOL = 1e-9
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Y.setflags(write=False)
@@ -102,12 +105,12 @@ def spin_flip(rho) -> Mat4:
 def entanglement_of_formation(concurrence: float) -> float:
     """Binary-entropy function of the concurrence, in bits, clamped to [0, 1]."""
     c = min(max(concurrence, 0.0), 1.0)
-    x = (1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0
+    x = (1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0
     e = 0.0
     for p in (x, 1.0 - x):
         if p > 0.0:
-            e -= p * np.log2(p)
-    return float(min(max(e, 0.0), 1.0))
+            e -= p * math.log2(p)
+    return min(max(e, 0.0), 1.0)
 
 
 def concurrence_oracle(rho) -> ConcurrenceReport:

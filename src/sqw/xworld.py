@@ -16,37 +16,29 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotPSD
-from .linalg import Mat4
-from .report import CheckResult, Report
-from .twoqubit import DensityMatrix, validate_density
+from .linalg import UNIT, locked
+from .report import Report, exact
+from .twoqubit import PURE_TOL, DensityMatrix, validate_density
 
 #: Positions that must vanish for an X-patterned matrix (row, col).
 OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 _WINDOW_TOL = 1e-12
 
-
-def _locked(rows) -> Mat4:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
-UNIT = _locked(np.eye(4))
-E = _locked(np.diag([1, -1, -1, 1]))
+E = locked(np.diag([1, -1, -1, 1]))
 
 #: Pauli-style triple on the outer block (basis states 1 and 4).
 LAMBDA = (
-    _locked([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
-    _locked([[0, 0, 0, -1j], [0, 0, 0, 0], [0, 0, 0, 0], [1j, 0, 0, 0]]),
-    _locked(np.diag([1, 0, 0, -1])),
+    locked([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
+    locked([[0, 0, 0, -1j], [0, 0, 0, 0], [0, 0, 0, 0], [1j, 0, 0, 0]]),
+    locked(np.diag([1, 0, 0, -1])),
 )
 
 #: Pauli-style triple on the inner block (basis states 2 and 3).
 TAU = (
-    _locked([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]),
-    _locked([[0, 0, 0, 0], [0, 0, -1j, 0], [0, 1j, 0, 0], [0, 0, 0, 0]]),
-    _locked(np.diag([0, 1, -1, 0])),
+    locked([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]),
+    locked([[0, 0, 0, 0], [0, 0, -1j, 0], [0, 1j, 0, 0], [0, 0, 0, 0]]),
+    locked(np.diag([0, 1, -1, 0])),
 )
 
 
@@ -89,12 +81,7 @@ def check_x_relations() -> Report:
     with exact floating-point equality; any discrepancy is reported as a
     failed check rather than an exception.
     """
-    checks: list[CheckResult] = []
-
-    def add(name: str, lhs: Mat4, rhs: Mat4):
-        dev = float(np.abs(lhs - rhs).max())
-        checks.append(CheckResult(name, bool(np.array_equal(lhs, rhs)), dev))
-
+    cases = []
     half_plus = (UNIT + E) / 2
     half_minus = (UNIT - E) / 2
     zero = np.zeros((4, 4), dtype=complex)
@@ -104,18 +91,18 @@ def check_x_relations() -> Report:
                 1j * _levi_civita(i, j, k) * LAMBDA[k] for k in range(3)
             )
             rhs = (half_plus if i == j else zero) + eps_term
-            add(f"lam{i+1}*lam{j+1}", LAMBDA[i] @ LAMBDA[j], rhs)
+            cases.append((f"lam{i+1}*lam{j+1}", LAMBDA[i] @ LAMBDA[j], rhs))
             eps_term = sum(1j * _levi_civita(i, j, k) * TAU[k] for k in range(3))
             rhs = (half_minus if i == j else zero) + eps_term
-            add(f"tau{i+1}*tau{j+1}", TAU[i] @ TAU[j], rhs)
-            add(f"lam{i+1}*tau{j+1} = 0", LAMBDA[i] @ TAU[j], zero)
-            add(f"tau{j+1}*lam{i+1} = 0", TAU[j] @ LAMBDA[i], zero)
+            cases.append((f"tau{i+1}*tau{j+1}", TAU[i] @ TAU[j], rhs))
+            cases.append((f"lam{i+1}*tau{j+1} = 0", LAMBDA[i] @ TAU[j], zero))
+            cases.append((f"tau{j+1}*lam{i+1} = 0", TAU[j] @ LAMBDA[i], zero))
     for i in range(3):
-        add(f"E*lam{i+1} = lam{i+1}", E @ LAMBDA[i], LAMBDA[i])
-        add(f"lam{i+1}*E = lam{i+1}", LAMBDA[i] @ E, LAMBDA[i])
-        add(f"E*tau{i+1} = -tau{i+1}", E @ TAU[i], -TAU[i])
-        add(f"tau{i+1}*E = -tau{i+1}", TAU[i] @ E, -TAU[i])
-    return Report(tuple(checks))
+        cases.append((f"E*lam{i+1} = lam{i+1}", E @ LAMBDA[i], LAMBDA[i]))
+        cases.append((f"lam{i+1}*E = lam{i+1}", LAMBDA[i] @ E, LAMBDA[i]))
+        cases.append((f"E*tau{i+1} = -tau{i+1}", E @ TAU[i], -TAU[i]))
+        cases.append((f"tau{i+1}*E = -tau{i+1}", TAU[i] @ E, -TAU[i]))
+    return Report(tuple(exact(*case) for case in cases))
 
 
 def _ball_norms(coeffs: XCoeffs) -> tuple[float, float]:
@@ -158,12 +145,15 @@ def x_spectrum(coeffs: XCoeffs) -> tuple[float, float, float, float]:
     return tuple(sorted(vals))
 
 
-def classify_pure_x(coeffs: XCoeffs, tol: float = 1e-9) -> PureXClass:
-    """Classify a pure X-state into one of the two disjoint pure classes."""
+def classify_pure_x(coeffs: XCoeffs) -> PureXClass:
+    """Classify a pure X-state into one of the two disjoint pure classes.
+
+    Each of e, |P| and |S| must lie within ``PURE_TOL`` of its class value.
+    """
     e, pn, sn = coeffs.e, coeffs.p_norm, coeffs.s_norm
-    if abs(e - 1) <= tol and abs(pn - 2) <= tol and sn <= tol:
+    if abs(e - 1) <= PURE_TOL and abs(pn - 2) <= PURE_TOL and sn <= PURE_TOL:
         return PureXClass.CLASS1
-    if abs(e + 1) <= tol and abs(sn - 2) <= tol and pn <= tol:
+    if abs(e + 1) <= PURE_TOL and abs(sn - 2) <= PURE_TOL and pn <= PURE_TOL:
         return PureXClass.CLASS2
     return PureXClass.NOT_PURE
 

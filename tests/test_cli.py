@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw.cli import main
 from sqw.s3world import MeasurementAxis, gain
@@ -253,3 +258,55 @@ def test_sweep_unwritable_path_exits_two(capsys, tmp_path):
         "--out", str(tmp_path / "missing-dir" / "x.csv"),
     )
     assert code == 2
+
+
+# ---- argv fuzzing ----
+
+_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0", "1e-320", "1e155", "-1e155", "1e308", "-1e308",
+     "1", "-1", "-0.5", "0.25", "x"]
+) | st.floats().map(repr)
+
+
+def _flags(names: str):
+    """One ``--<name>=<value>`` argument per letter of ``names``."""
+    return st.tuples(*(_VALUES.map(f"--{n}={{}}".format) for n in names)).map(list)
+
+
+# Each input mode, then no mode, incomplete coefficients and conflicting modes.
+_STATE_FLAGS = st.one_of(
+    st.just(["--ie"]),
+    _flags("t"),
+    _flags("bcd"),
+    _flags("abcd"),
+    st.sampled_from(["", "b", "ad", "tbcd"]).flatmap(_flags),
+    _flags("t").map(lambda args: args + ["--ie"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["check", "state", "measure", "sweep"]))
+    fmt = draw(st.sampled_from(["csv" if command == "sweep" else "text", "json"]))
+    axis = draw(st.sampled_from(["h1", "h2", "h3", "h4"]))
+    if command == "check":
+        args = [draw(st.sampled_from(["x", "s3", "s4", "y"]))]
+    elif command == "sweep":
+        # The grid is allocated in memory: keep --points small.
+        points = draw(st.integers(-3, 50))
+        args = [f"--axis={axis}", f"--points={points}", f"--out={os.devnull}"]
+    else:
+        args = draw(_STATE_FLAGS)
+        if command == "measure":
+            args.append(f"--axis={axis}")
+    return [command, *args, f"--format={fmt}"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

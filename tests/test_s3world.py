@@ -71,6 +71,23 @@ def test_relation_suite_all_pass():
     assert all(c.deviation == 0.0 for c in report)
 
 
+#: The check names `sqw check s3` prints, in order. The suite builds the
+#: product names from symbol triples, so this pins its output.
+S3_CHECK_NAMES = (
+    "H1*H1 = 1", "H2*H2 = 1", "H3*H3 = 1",
+    "H1*H2 = A", "H2*H3 = A", "H3*H1 = A", "H1*H3 = B", "H2*H1 = B", "H3*H2 = B",
+    "H1*A = H2", "H2*A = H3", "H3*A = H1", "A*H1 = H3", "A*H2 = H1", "A*H3 = H2",
+    "H1*B = H3", "H2*B = H1", "H3*B = H2", "B*H1 = H2", "B*H2 = H3", "B*H3 = H1",
+    "A*A = B", "B*B = A", "A*B = 1", "B*A = 1",
+    "A = adjoint(B)", "A + B = C - 1",
+    "[C, H1] = 0", "[C, H2] = 0", "[C, H3] = 0", "[C, A] = 0", "[C, B] = 0",
+)
+
+
+def test_relation_suite_names_in_order():
+    assert tuple(c.name for c in check_s3_relations()) == S3_CHECK_NAMES
+
+
 def test_selected_relations_exact():
     assert np.array_equal(H1 @ H2, A)
     assert np.array_equal(A + B, CASIMIR - UNIT)
