@@ -28,11 +28,13 @@ def locked(rows) -> Mat4:
 UNIT = locked(np.eye(4))
 
 
+#: Largest Hermiticity defect ||m - m^dagger||_F that ``herm_eigen`` accepts.
+HERMITIAN_TOL = 1e-10
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 _SCALE_ABOVE = 1e150
 
 
-def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def herm_eigen(m: Mat4) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` real and ascending and the
@@ -40,9 +42,9 @@ def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     result is deterministic for identical input. Raises ``NotHermitian``
     for any NaN or infinite entry, with the number of non-finite entries as
     the violation, and when the Hermiticity defect ``||m - m^dagger||_F``
-    exceeds ``tol``. With entries above 1e150 the defect is taken on a
-    rescaled copy and scaled back as a Python float, so it never overflows
-    a numpy operation; at worst it is inf.
+    exceeds ``HERMITIAN_TOL``. With entries above 1e150 the defect is taken
+    on a rescaled copy and scaled back as a Python float, so it never
+    overflows a numpy operation; at worst it is inf.
     """
     s = float(np.abs(m).max())
     if not math.isfinite(s):
@@ -58,9 +60,9 @@ def herm_eigen(m: Mat4, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         defect = s * float(np.linalg.norm(x - x.conj().T))
     else:
         defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NotHermitian(
-            f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})",
+            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",
             violation=defect,
         )
     w, v = np.linalg.eigh(m)

@@ -195,6 +195,28 @@ def is_pure(coeffs: S3Coeffs) -> bool:
     return abs(r2 - 0.25) <= PURE_TOL
 
 
+def _circle_point(t):
+    # (b, c, d, concurrence) of the pure state at t, |t| <= 1; floats or arrays.
+    s = 1.0 + t + t * t
+    den = 2.0 * s
+    return -t * (1.0 + t) / den, -(1.0 + t) / den, t / den, abs(t) / s
+
+
+def _circle_point_inv(u):
+    # The same point for |t| > 1, in u = 1/t: no overflow or cancellation.
+    s = u * u + u + 1.0
+    den = 2.0 * s
+    return -(u + 1.0) / den, -(u * u + u) / den, u / den, abs(u) / s
+
+
+def _pure_point(t: float) -> tuple[float, float, float, float]:
+    if math.isinf(t):
+        return -0.5, 0.0, 0.0, 0.0
+    if abs(t) > 1.0:
+        return _circle_point_inv(1.0 / t)
+    return _circle_point(t)
+
+
 def t_param(t: float) -> S3Coeffs:
     """Coefficients of the pure unit-``a`` state with parameter ``t``.
 
@@ -202,15 +224,8 @@ def t_param(t: float) -> S3Coeffs:
     map to the limit point (b, c, d) = (-1/2, 0, 0). The output satisfies
     b + c + d = -1/2 and b^2 + c^2 + d^2 = 1/4 identically.
     """
-    if math.isinf(t):
-        return S3Coeffs(1.0, -0.5, 0.0, 0.0)
-    if abs(t) > 1.0:
-        # Evaluate in 1/t to avoid overflow and cancellation for large |t|.
-        u = 1.0 / t
-        den = 2.0 * (u * u + u + 1.0)
-        return S3Coeffs(1.0, -(u + 1.0) / den, -(u * u + u) / den, u / den)
-    den = 2.0 * (1.0 + t + t * t)
-    return S3Coeffs(1.0, -t * (1.0 + t) / den, -(1.0 + t) / den, t / den)
+    b, c, d, _ = _pure_point(t)
+    return S3Coeffs(1.0, b, c, d)
 
 
 def pure_vector(t: float) -> Vec4:
@@ -256,6 +271,18 @@ def concurrence_closed(coeffs: S3Coeffs) -> float:
     return 2.0 * math.sqrt(max(prod, 0.0))
 
 
+def _channel(axis: MeasurementAxis, b, c, d):
+    # (b, c, d) -> (b', c', d') of measure_update, on floats or arrays.
+    if axis is MeasurementAxis.H1:
+        half = (c + d) / 2.0
+        return b, half, half
+    if axis is MeasurementAxis.H2:
+        half = (b + d) / 2.0
+        return half, c, half
+    half = (b + c) / 2.0
+    return half, half, d
+
+
 def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
     """Non-selective measurement of one swap observable, on coefficients.
 
@@ -268,15 +295,7 @@ def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
     """
     _require_unit_a(coeffs)
     _require_window(coeffs)
-    b, c, d = coeffs.b, coeffs.c, coeffs.d
-    if axis is MeasurementAxis.H1:
-        half = (c + d) / 2.0
-        return S3Coeffs(coeffs.a, b, half, half)
-    if axis is MeasurementAxis.H2:
-        half = (b + d) / 2.0
-        return S3Coeffs(coeffs.a, half, c, half)
-    half = (b + c) / 2.0
-    return S3Coeffs(coeffs.a, half, half, d)
+    return S3Coeffs(coeffs.a, *_channel(axis, coeffs.b, coeffs.c, coeffs.d))
 
 
 def measure_update_matrix(rho: Mat4, axis: MeasurementAxis) -> Mat4:
@@ -291,12 +310,7 @@ def pure_concurrence(t: float) -> float:
     Evaluated in 1/t for |t| > 1, which stays accurate where the
     coefficient representation saturates (b indistinguishable from -1/2).
     """
-    if math.isinf(t):
-        return 0.0
-    if abs(t) > 1.0:
-        u = 1.0 / t
-        return abs(u) / (u * u + u + 1.0)
-    return abs(t) / (1.0 + t + t * t)
+    return _pure_point(t)[3]
 
 
 def gain(axis: MeasurementAxis, t: float) -> GainResult:
@@ -306,10 +320,8 @@ def gain(axis: MeasurementAxis, t: float) -> GainResult:
     after value runs the coefficient pipeline: parametrize, apply the
     channel, evaluate the closed-form concurrence.
     """
-    before = t_param(t)
-    after = measure_update(before, axis)
-    c_before = pure_concurrence(t)
-    c_after = concurrence_closed(after)
+    b, c, d, c_before = _pure_point(t)
+    c_after = concurrence_closed(measure_update(S3Coeffs(1.0, b, c, d), axis))
     return GainResult(
         t_star=t, delta_c=c_after - c_before, c_before=c_before, c_after=c_after
     )
@@ -364,59 +376,41 @@ def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     """``(c_before, c_after)`` of ``gain(axis, t)`` for every ``t`` in ``ts``.
 
-    The array form of ``gain``: the same float operations in the same order
-    (``t_param``, ``measure_update``, ``concurrence_closed`` and
-    ``pure_concurrence``), so every entry equals the scalar value bit for bit,
-    and the same checks (finite coefficients, a + b + c + d = 1/2 and the
-    [0, 1/12] window, before and after the channel). If any point fails, the
-    first one is re-run through ``gain``, which raises its exact error. Worth
-    it for grids: a batch of one costs about ten scalar calls.
+    The array form of ``gain``: the same pure-state point and channel helpers
+    on arrays, then ``concurrence_closed``'s float operations, so every entry
+    equals the scalar value bit for bit, and the same checks (finite
+    coefficients, a + b + c + d = 1/2 and the [0, 1/12] window, before and
+    after the channel). If any point fails, the first one is re-run through
+    ``gain``, which raises its exact error. Worth it for grids: a batch of one
+    costs about ten scalar calls. ``maximize_gain`` searches only through it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    inf = np.isinf(ts)
-    big = (np.abs(ts) > 1.0) & ~inf
-    small = ~(big | inf)
-    b, c, d, c_before = np.empty((4,) + ts.shape)
-    # Branch |t| > 1 of t_param and pure_concurrence, evaluated in u = 1/t.
-    u = 1.0 / ts[big]
-    s = u * u + u + 1.0
-    den = 2.0 * s
-    b[big], c[big], d[big] = -(u + 1.0) / den, -(u * u + u) / den, u / den
-    c_before[big] = np.abs(u) / s
-    t = ts[small]
-    s = 1.0 + t + t * t
-    den = 2.0 * s
-    b[small], c[small], d[small] = -t * (1.0 + t) / den, -(1.0 + t) / den, t / den
-    c_before[small] = np.abs(t) / s
-    b[inf], c[inf], d[inf], c_before[inf] = -0.5, 0.0, 0.0, 0.0
-    bad = _invalid_unit_a(b, c, d)
-    if axis is MeasurementAxis.H1:
-        b2, c2 = b, (c + d) / 2.0
-        d2 = c2
-    elif axis is MeasurementAxis.H2:
-        b2, c2 = (b + d) / 2.0, c
-        d2 = b2
-    else:
-        b2 = c2 = (b + c) / 2.0
-        d2 = d
-    bad |= _invalid_unit_a(b2, c2, d2)
+    # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
+    # coefficient, which no output and no check depends on.
+    big = np.abs(ts) > 1.0
+    b, c, d, c_before = point = np.empty((4,) + ts.shape)
+    for mask, point_at, x in (
+        (big, _circle_point_inv, 1.0 / ts[big]),
+        (~big, _circle_point, ts[~big]),
+    ):
+        if x.size:  # a zoom round lies on one side of |t| = 1
+            for row, value in zip(point, point_at(x)):
+                row[mask] = value
+    after = _channel(axis, b, c, d)
+    bad = _invalid_unit_a(b, c, d) | _invalid_unit_a(*after)
     if bad.any():
         t_bad = float(ts.flat[np.argmax(bad)])
         gain(axis, t_bad)
         raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
-    prod = (0.5 + b2) * (0.5 + c2)
+    prod = (0.5 + after[0]) * (0.5 + after[1])
     # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
     c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
     return c_before, c_after
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _theta_to_t(theta: float) -> float:
-    if theta >= math.pi / 2:
-        return math.inf
-    return math.tan(theta)
+#: The evenly spaced angles of a ``maximize_gain`` zoom round, as fractions
+#: of its bracket.
+_ZOOM_FRACTIONS = np.linspace(0.0, 1.0, 64)
 
 
 def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
@@ -426,13 +420,11 @@ def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
     return (value, 0, -math.inf)
 
 
-def _grid_winner(axis: MeasurementAxis, n: int) -> tuple[int, float, float]:
-    """1-based index, t and gain of the best point of ``t_grid(n)``.
+def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
+    """Index, t and gain of the best point of ``ts`` by ``_candidate_key``.
 
-    Picks what a scan over the grid keeping strict ``_candidate_key``
-    improvements picks: the largest key, the first of equal keys.
+    The first of equal keys, as a scan keeping strict improvements picks.
     """
-    ts = t_grid(n)
     c_before, c_after = gain_curve(axis, ts)
     deltas = c_after - c_before
     best_val = float(deltas.max())
@@ -440,62 +432,39 @@ def _grid_winner(axis: MeasurementAxis, n: int) -> tuple[int, float, float]:
         np.flatnonzero(deltas == best_val).tolist(),
         key=lambda j: _candidate_key(best_val, float(ts[j])),
     )
-    return i + 1, float(ts[i]), best_val
+    return i, float(ts[i]), float(deltas[i])
 
 
 def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResult:
     """Maximize the measurement gain over all pure states.
 
     The real line plus the point at infinity is swept through the compact
-    angle theta in (-pi/2, pi/2] with t = tan(theta); a uniform grid pass
-    over ``t_grid(grid_points)`` is followed by golden-section refinement of
-    the best bracket until its width drops below 1e-10 in t (or 1e-12 in
-    theta, which bounds the work when the bracket touches the infinite
-    endpoint). The grid pass is vectorised through ``gain_curve``, bit for
-    bit equal to calling ``gain`` per point; the refinement calls ``gain``.
-    Exact ties resolve to finite t over infinity, then to the smallest |t|.
-    Raises ``PreconditionViolated`` for ``grid_points < 1``.
+    angle theta in (-pi/2, pi/2] with t = tan(theta), infinite from pi/2 on.
+    A grid pass over ``t_grid(grid_points)`` picks the best point; zoom
+    rounds then evaluate 64 evenly spaced angles across the bracket of its
+    two neighbours and narrow it to the neighbours of each round's best,
+    until the bracket is below 1e-10 in t (or 1e-12 in theta, which bounds
+    the work when it touches the infinite endpoint). Every point is
+    evaluated through ``gain_curve``; ``gain`` is called once, for the
+    returned winner. Exact ties resolve to finite t over infinity, then
+    to the smallest |t|, then to the earlier point. Raises
+    ``PreconditionViolated`` for ``grid_points < 1``.
     """
     n = grid_points
-    best_k, best_t, best_val = _grid_winner(axis, n)
-
-    step = math.pi / n
-    lo = (best_k - 1) / n * math.pi - math.pi / 2 if best_k > 1 else -math.pi / 2 + step / 2
-    hi = (best_k + 1) / n * math.pi - math.pi / 2 if best_k < n else math.pi / 2
-
-    def evaluate(theta: float) -> tuple[float, float]:
-        t = _theta_to_t(theta)
-        return gain(axis, t).delta_c, t
-
-    ref_val, ref_t = -math.inf, 0.0
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, tc = evaluate(c)
-    fd, td = evaluate(d)
-    for v, t in ((fc, tc), (fd, td)):
-        if _candidate_key(v, t) > _candidate_key(ref_val, ref_t):
-            ref_val, ref_t = v, t
-    while hi - lo > 1e-12:
-        t_hi, t_lo = _theta_to_t(hi), _theta_to_t(lo)
-        if math.isfinite(t_hi) and t_hi - t_lo <= 1e-10:
-            break
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc, tc = evaluate(c)
-            new_v, new_t = fc, tc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd, td = evaluate(d)
-            new_v, new_t = fd, td
-        if _candidate_key(new_v, new_t) > _candidate_key(ref_val, ref_t):
-            ref_val, ref_t = new_v, new_t
-
-    winner_t = best_t
-    if _candidate_key(ref_val, ref_t) > _candidate_key(best_val, best_t):
-        winner_t = ref_t
-    return gain(axis, winner_t)
+    k, best_t, best_val = _winner(axis, t_grid(n))
+    lo = k / n * math.pi - math.pi / 2 if k > 0 else -math.pi / 2 + math.pi / n / 2
+    hi = (k + 2) / n * math.pi - math.pi / 2 if k < n - 1 else math.pi / 2
+    while hi - lo > 1e-12 and (
+        hi >= math.pi / 2 or math.tan(hi) - math.tan(lo) > 1e-10
+    ):
+        thetas = lo + (hi - lo) * _ZOOM_FRACTIONS
+        thetas[-1] = hi  # exactly, so pi/2 still maps to infinity
+        ts = np.where(thetas < math.pi / 2, np.tan(thetas), math.inf)
+        j, t, val = _winner(axis, ts)
+        if _candidate_key(val, t) > _candidate_key(best_val, best_t):
+            best_t, best_val = t, val
+        lo, hi = thetas[max(j - 1, 0)], thetas[min(j + 1, len(thetas) - 1)]
+    return gain(axis, best_t)
 
 
 def ie_state() -> S3Coeffs:

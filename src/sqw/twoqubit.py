@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne
-from .linalg import Mat4, herm_eigen
+from .linalg import HERMITIAN_TOL, Mat4, herm_eigen
 
-HERMITIAN_TOL = 1e-10
+#: The tolerances of ``validate_density``, beside ``herm_eigen``'s ``HERMITIAN_TOL``.
 TRACE_TOL = 1e-10
 EIGEN_TOL = 1e-9
 #: Distance from the pure-state value within which a state counts as pure.
@@ -55,7 +55,10 @@ def validate_density(m) -> DensityMatrix:
     """Check shape, Hermiticity, unit trace and positivity of a 4x4 matrix.
 
     Raises ``NotHermitian``, ``TraceNotOne`` or ``NotPSD`` with the measured
-    violation magnitude; returns the validated wrapper otherwise. A shape
+    violation magnitude; returns the validated wrapper otherwise. A trace
+    defect within the rounding of the diagonal sum (4 eps max|m_ij|) is left
+    to the positivity check: entries that large which cancel to a wrong trace
+    leave a negative eigenvalue, so the matrix raises ``NotPSD``. A shape
     other than (4, 4) raises ``PreconditionViolated``, whose violation is the
     distance of the shape from (4, 4): the sum of each axis length's gap to 4,
     plus 4 per missing or extra axis. A NaN or infinite entry raises
@@ -68,10 +71,10 @@ def validate_density(m) -> DensityMatrix:
         raise PreconditionViolated(
             f"density matrix must be 4x4, got shape {m.shape}", violation=float(gap)
         )
-    w, v = herm_eigen(m, tol=HERMITIAN_TOL)
+    w, v = herm_eigen(m)
     tr = np.trace(m)
     tr_err = abs(tr.real - 1.0) + abs(tr.imag)
-    if tr_err > TRACE_TOL:
+    if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
         raise TraceNotOne(
             f"density matrix trace differs from 1 by {tr_err:.3e}", violation=tr_err
         )

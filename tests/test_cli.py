@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,16 @@ def test_state_invalid_exits_one(capsys):
 def test_state_not_normalized_exits_one(capsys):
     code, _, err = run(capsys, "state", "--b", "0.5", "--c", "0.5", "--d", "0.5")
     assert code == 1
+
+
+@pytest.mark.parametrize("big", ["1e155", "1e20"])
+def test_state_cancelling_coefficients_report_not_psd(capsys, big):
+    # a + b + c + d = 1/2, but the assembled diagonal rounds the 0.5 away:
+    # the matrix is not positive, and its trace defect is rounding.
+    code, _, err = run(capsys, "state", f"--a={big}", f"--b=-{big}", "--c=0.5", "--d=0")
+    assert code == 1
+    assert "negative eigenvalue" in err
+    assert "trace" not in err
 
 
 def test_state_conflicting_modes_exits_two(capsys):
@@ -258,6 +269,32 @@ def test_sweep_unwritable_path_exits_two(capsys, tmp_path):
         "--out", str(tmp_path / "missing-dir" / "x.csv"),
     )
     assert code == 2
+
+
+# ---- golden outputs ----
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("world", ["x", "s3", "s4"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_matches_golden_bytes(capsys, world, fmt):
+    code, out, _ = run(capsys, "check", world, "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"check_{world}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
+@pytest.mark.parametrize("points", [2, 3, 7, 101])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_matches_golden_bytes(capsys, tmp_path, axis, points, fmt):
+    out, golden = tmp_path / "sweep", GOLDEN / f"sweep_{axis}_{points}.{fmt}"
+    code, _, _ = run(
+        capsys, "sweep", "--axis", axis, "--points", str(points),
+        "--out", str(out), "--format", fmt,
+    )
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 # ---- argv fuzzing ----

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sqw.errors import (
     OutsideValidityWindow,
     PreconditionViolated,
 )
+from sqw import s3world
 from sqw.linalg import herm_eigen
 from sqw.s3world import (
     A,
@@ -20,7 +22,7 @@ from sqw.s3world import (
     KERNEL_VECTORS,
     UNIT,
     _candidate_key,
-    _grid_winner,
+    _winner,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
@@ -183,8 +185,9 @@ def test_t_param_examples():
     np.testing.assert_allclose(
         (at_one.b, at_one.c, at_one.d), (-1 / 3, -1 / 3, 1 / 6), atol=1e-15
     )
-    assert t_param(math.inf) == S3Coeffs(1.0, -0.5, 0.0, 0.0)
-    assert t_param(-math.inf) == S3Coeffs(1.0, -0.5, 0.0, 0.0)
+    for t in (math.inf, -math.inf):
+        # bit for bit: a -0.0 coefficient would print as "-0" in `sqw state`
+        assert bits(astuple(t_param(t))) == bits([1.0, -0.5, 0.0, 0.0])
 
 
 def test_pure_circle_identities():
@@ -226,33 +229,17 @@ def test_pure_vector_named_points(t, expected):
 
 
 def test_t_param_covers_the_pure_circle():
-    # every circle point is approached by some t under grid + refinement
+    # every circle point is reached by its exact inverse t = -d / (c + d)
     center = np.full(3, -1 / 6)
     u1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
     u2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
     radius = math.sqrt(1 / 6)
-    inv_phi = (math.sqrt(5) - 1) / 2
-
-    def distance(theta, target):
-        # tan is pi-periodic, so brackets may wrap across the seam at pi/2
-        c = t_param(math.tan(theta))
-        return np.linalg.norm(np.array([c.b, c.c, c.d]) - target)
-
-    step = math.pi / 400
     for phi in np.linspace(0, 2 * math.pi, 1000, endpoint=False):
         target = center + radius * (math.cos(phi) * u1 + math.sin(phi) * u2)
-        thetas = [(k / 400) * math.pi - math.pi / 2 for k in range(1, 401)]
-        best = min(range(400), key=lambda i: distance(thetas[i], target))
-        lo = thetas[best] - step
-        hi = thetas[best] + step
-        while hi - lo > 1e-9:
-            c = hi - inv_phi * (hi - lo)
-            d = lo + inv_phi * (hi - lo)
-            if distance(c, target) < distance(d, target):
-                hi = d
-            else:
-                lo = c
-        assert distance((lo + hi) / 2, target) <= 1e-6
+        _, c, d = target.tolist()
+        t = math.inf if c + d == 0 else -d / (c + d)
+        point = t_param(t)
+        assert np.linalg.norm([point.b, point.c, point.d] - target) <= 1e-12
 
 
 # ---- mean values ----
@@ -436,7 +423,32 @@ def test_grid_winner_matches_scalar_scan(n):
             v = gain(axis, t).delta_c
             if _candidate_key(v, t) > _candidate_key(best_val, best_t):
                 best_val, best_t, best_k = v, t, k
-        assert _grid_winner(axis, n) == (best_k, best_t, best_val)
+        i, t, v = _winner(axis, t_grid(n))
+        assert (i, bits([t, v])) == (best_k - 1, bits([best_t, best_val]))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 7, 101, 1001, 9999))
+@pytest.mark.parametrize("axis", AXES)
+def test_maximize_gain_off_default_grid(axis, n):
+    r = maximize_gain(axis, n)
+    exact = {"h1": 1 / math.sqrt(2), "h2": 1 / math.sqrt(2), "h3": 0.5}[axis.value]
+    assert abs(r.delta_c - exact) <= 1e-10
+    at_zero, at_inf = abs(r.t_star) <= 1e-10, math.isinf(r.t_star)
+    assert {"h1": at_zero, "h2": at_inf, "h3": at_zero or at_inf}[axis.value]
+    assert bits(astuple(r)) == bits(astuple(gain(axis, r.t_star)))
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_maximize_gain_calls_gain_once(axis, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gain(*args)
+
+    monkeypatch.setattr(s3world, "gain", counted)
+    assert maximize_gain(axis) == gain(axis, calls[0][1])
+    assert len(calls) == 1
 
 
 # ---- the irreducible entangled state ----

@@ -83,6 +83,20 @@ def test_validate_rejects_non_hermitian_and_bad_trace():
     assert err.value.violation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("big", [1e20, 1e155])
+def test_validate_leaves_rounded_trace_to_positivity(big):
+    # The coefficients sum to 1/2, so the trace is exactly 1; the assembled
+    # diagonal rounds the 0.5 away, and what is really wrong is positivity.
+    m = s3world.assemble_s3(s3world.S3Coeffs(big, -big, 0.5, 0.0))
+    assert np.trace(m).real == 0.0
+    with pytest.raises(NotPSD):
+        validate_density(m)
+    # A positive matrix has max|m_ij| <= trace: its trace errors stay caught.
+    for scale in (big, (1 + 1e-9) / 4):
+        with pytest.raises(TraceNotOne):
+            validate_density(np.eye(4, dtype=complex) * scale)
+
+
 def _with_entry(value, index=(0, 0)):
     m = np.eye(4, dtype=complex) / 4
     m[index] = value
