@@ -80,21 +80,34 @@ class Subgroup:
         return len(self.elements)
 
 
+@lru_cache(maxsize=1)
+def _table() -> tuple[tuple[Perm4, ...], dict[Perm4, int], tuple[tuple[int, ...], ...]]:
+    # The 24 elements in canonical order, the index of each, and the
+    # multiplication table on indices: product[i][j] indexes elements[i] *
+    # elements[j]. Index order is element order, and IDENTITY has index 0.
+    elements = all_elements()
+    index = {p: i for i, p in enumerate(elements)}
+    product = tuple(tuple(index[p * q] for q in elements) for p in elements)
+    return elements, index, product
+
+
 def generate(generators) -> Subgroup:
     """Closure of a set of permutations under composition."""
-    elements = {IDENTITY}
-    frontier = [IDENTITY]
-    gens = tuple(generators)
+    elements, index, product = _table()
+    gens = tuple(index[g] for g in generators)
+    found = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
+            row = product[x]
             for g in gens:
-                y = x * g
-                if y not in elements:
-                    elements.add(y)
+                y = row[g]
+                if y not in found:
+                    found.add(y)
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(tuple(sorted(elements)))
+    return Subgroup(tuple(elements[i] for i in sorted(found)))
 
 
 @lru_cache(maxsize=1)

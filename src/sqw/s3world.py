@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +33,13 @@ from .twoqubit import PURE_TOL
 
 NORM_TOL = 1e-12
 WINDOW_TOL = 1e-12
+#: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
+REACH_PSD_TOL = 1e-10
+#: Smallest component magnitude that ``pure_vector`` fixes the phase on.
+PHASE_TOL = 1e-8
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
+_NOT_FINITE = "coefficients must be finite"
 
 
 #: Pair swaps of basis states (1,2), (1,3) and (2,3); each squares to 1.
@@ -78,7 +84,7 @@ class S3Coeffs:
     def __post_init__(self):
         vals = (self.a, self.b, self.c, self.d)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficients must be finite")
+            raise ValueError(_NOT_FINITE)
         dev = abs(self.a + self.b + self.c + self.d - 0.5)
         if dev > NORM_TOL:
             raise NormalizationViolated(
@@ -210,11 +216,13 @@ def _circle_point_inv(u):
 
 
 def _pure_point(t: float) -> tuple[float, float, float, float]:
+    if abs(t) <= 1.0:
+        return _circle_point(t)
     if math.isinf(t):
         return -0.5, 0.0, 0.0, 0.0
-    if abs(t) > 1.0:
-        return _circle_point_inv(1.0 / t)
-    return _circle_point(t)
+    if math.isnan(t):
+        raise ValueError(_NOT_FINITE)
+    return _circle_point_inv(1.0 / t)
 
 
 def t_param(t: float) -> S3Coeffs:
@@ -233,13 +241,13 @@ def pure_vector(t: float) -> Vec4:
 
     Defined operationally as the top eigenvector of the assembled matrix,
     with the global phase fixed so the first component of magnitude above
-    1e-8 is real and positive.
+    ``PHASE_TOL`` is real and positive.
     """
     rho = assemble_s3(t_param(t))
     _, vecs = herm_eigen(rho)
     psi = vecs[:, 3].copy()
     for x in psi:
-        if abs(x) > 1e-8:
+        if abs(x) > PHASE_TOL:
             psi *= x.conjugate() / abs(x)
             break
     return psi
@@ -309,6 +317,7 @@ def pure_concurrence(t: float) -> float:
 
     Evaluated in 1/t for |t| > 1, which stays accurate where the
     coefficient representation saturates (b indistinguishable from -1/2).
+    NaN raises the ``ValueError`` that ``t_param`` raises.
     """
     return _pure_point(t)[3]
 
@@ -332,9 +341,12 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
 
     Independent of the channel pipeline; used to cross-check ``gain``.
     Values at ``t = +-inf`` (and |t| beyond overflow range) are the limits
-    0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively.
+    0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively. NaN raises the
+    ``ValueError`` that ``gain`` raises.
     """
-    if math.isinf(t) or abs(t) > 1e150:
+    if not abs(t) <= 1e150:
+        if math.isnan(t):
+            raise ValueError(_NOT_FINITE)
         return {
             MeasurementAxis.H1: 0.0,
             MeasurementAxis.H2: 1.0 / math.sqrt(2.0),
@@ -348,6 +360,13 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     return (1.0 + t * t - 2.0 * abs(t)) / (2.0 * den)
 
 
+def _require_grid(n: int):
+    if n < 1:
+        raise PreconditionViolated(
+            f"grid needs at least one point, got {n}", violation=float(1 - n)
+        )
+
+
 def t_grid(n: int) -> np.ndarray:
     """The compactified grid t_k = tan(k pi / n - pi / 2), k = 1..n, as float64.
 
@@ -357,10 +376,7 @@ def t_grid(n: int) -> np.ndarray:
     Raises ``PreconditionViolated`` for ``n < 1``, with the shortfall
     ``1 - n`` as its violation.
     """
-    if n < 1:
-        raise PreconditionViolated(
-            f"grid needs at least one point, got {n}", violation=float(1 - n)
-        )
+    _require_grid(n)
     thetas = np.arange(1, n) / n * math.pi - math.pi / 2
     return np.append(np.fromiter(map(math.tan, thetas), float, n - 1), math.inf)
 
@@ -371,6 +387,40 @@ def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     dev = np.abs(1.0 + b + c + d - 0.5)
     q = b * c + b * d + c * d
     return ~((dev <= NORM_TOL) & (q >= -WINDOW_TOL) & (q <= WINDOW_MAX + WINDOW_TOL))
+
+
+def _pure_rows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The axis-independent half of gain_curve: the (b, c, d, c_before) rows of
+    # the pure-state points and where they fail S3Coeffs or the window check.
+    # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
+    # coefficient, which no output and no check depends on.
+    big = np.abs(ts) > 1.0
+    point = np.empty((4,) + ts.shape)
+    for mask, point_at, x in (
+        (big, _circle_point_inv, 1.0 / ts[big]),
+        (~big, _circle_point, ts[~big]),
+    ):
+        if x.size:  # a zoom round lies on one side of |t| = 1
+            for row, value in zip(point, point_at(x)):
+                row[mask] = value
+    return point, _invalid_unit_a(*point[:3])
+
+
+def _gain_after(
+    axis: MeasurementAxis, ts: np.ndarray, point: np.ndarray, bad_before: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # The axis half of gain_curve: the channel, its checks, then c_after.
+    b, c, d, c_before = point
+    after = _channel(axis, b, c, d)
+    bad = bad_before | _invalid_unit_a(*after)
+    if bad.any():
+        t_bad = float(ts.flat[np.argmax(bad)])
+        gain(axis, t_bad)
+        raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
+    prod = (0.5 + after[0]) * (0.5 + after[1])
+    # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
+    c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    return c_before, c_after
 
 
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -385,27 +435,23 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     costs about ten scalar calls. ``maximize_gain`` searches only through it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
-    # coefficient, which no output and no check depends on.
-    big = np.abs(ts) > 1.0
-    b, c, d, c_before = point = np.empty((4,) + ts.shape)
-    for mask, point_at, x in (
-        (big, _circle_point_inv, 1.0 / ts[big]),
-        (~big, _circle_point, ts[~big]),
-    ):
-        if x.size:  # a zoom round lies on one side of |t| = 1
-            for row, value in zip(point, point_at(x)):
-                row[mask] = value
-    after = _channel(axis, b, c, d)
-    bad = _invalid_unit_a(b, c, d) | _invalid_unit_a(*after)
-    if bad.any():
-        t_bad = float(ts.flat[np.argmax(bad)])
-        gain(axis, t_bad)
-        raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
-    prod = (0.5 + after[0]) * (0.5 + after[1])
-    # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
-    c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
-    return c_before, c_after
+    return _gain_after(axis, ts, *_pure_rows(ts))
+
+
+#: How many grid sizes keep their ``maximize_gain`` grid pass; an entry holds
+#: 41 bytes per grid point (about 0.4 MB at the default 10^4 points).
+_GRID_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # t_grid(n) and its _pure_rows, read-only: every axis and every later
+    # maximize_gain on this grid shares them.
+    ts = t_grid(n)
+    point, bad_before = _pure_rows(ts)
+    for array in (ts, point, bad_before):
+        array.setflags(write=False)
+    return ts, point, bad_before
 
 
 #: The evenly spaced angles of a ``maximize_gain`` zoom round, as fractions
@@ -420,12 +466,13 @@ def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
     return (value, 0, -math.inf)
 
 
-def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
+def _best(
+    ts: np.ndarray, c_before: np.ndarray, c_after: np.ndarray
+) -> tuple[int, float, float]:
     """Index, t and gain of the best point of ``ts`` by ``_candidate_key``.
 
     The first of equal keys, as a scan keeping strict improvements picks.
     """
-    c_before, c_after = gain_curve(axis, ts)
     deltas = c_after - c_before
     best_val = float(deltas.max())
     i = max(
@@ -435,12 +482,19 @@ def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
     return i, float(ts[i]), float(deltas[i])
 
 
+def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
+    # The best point of gain_curve(axis, ts).
+    return _best(ts, *gain_curve(axis, ts))
+
+
 def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResult:
     """Maximize the measurement gain over all pure states.
 
     The real line plus the point at infinity is swept through the compact
     angle theta in (-pi/2, pi/2] with t = tan(theta), infinite from pi/2 on.
-    A grid pass over ``t_grid(grid_points)`` picks the best point; zoom
+    A grid pass over ``t_grid(grid_points)`` picks the best point (its
+    axis-independent half, the grid and its pure-state points, is built once
+    per grid size and kept read-only for the last few sizes used); zoom
     rounds then evaluate 64 evenly spaced angles across the bracket of its
     two neighbours and narrow it to the neighbours of each round's best,
     until the bracket is below 1e-10 in t (or 1e-12 in theta, which bounds
@@ -451,7 +505,9 @@ def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResul
     ``PreconditionViolated`` for ``grid_points < 1``.
     """
     n = grid_points
-    k, best_t, best_val = _winner(axis, t_grid(n))
+    _require_grid(n)
+    ts, point, bad_before = _grid_rows(n)
+    k, best_t, best_val = _best(ts, *_gain_after(axis, ts, point, bad_before))
     lo = k / n * math.pi - math.pi / 2 if k > 0 else -math.pi / 2 + math.pi / n / 2
     hi = (k + 2) / n * math.pi - math.pi / 2 if k < n - 1 else math.pi / 2
     while hi - lo > 1e-12 and (
@@ -515,7 +571,7 @@ def ie_reach(cc: float, dd: float) -> S3Coeffs:
         )
     initial = S3Coeffs(1.0, -1.0 / 6.0, cc, dd)
     w, _ = herm_eigen(assemble_s3(initial))
-    if w[0] < -1e-10:
+    if w[0] < -REACH_PSD_TOL:
         raise NotPSD(
             f"initial state has negative eigenvalue {w[0]:.3e}",
             violation=float(-w[0]),

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -65,6 +66,23 @@ def test_enumeration_deterministic():
     enumerate_subgroups.cache_clear()
     second = enumerate_subgroups()
     assert first == second
+
+
+def _perm_closure(generators):
+    """Closure by Perm4 products: the reference for the indexed table."""
+    elements, frontier = {IDENTITY}, [IDENTITY]
+    while frontier:
+        frontier = [x * g for x in frontier for g in generators]
+        frontier = [y for y in dict.fromkeys(frontier) if y not in elements]
+        elements.update(frontier)
+    return tuple(sorted(elements))
+
+
+def test_generate_matches_perm4_closure():
+    elements = all_elements()
+    sets = [()] + [(g,) for g in elements] + list(itertools.combinations(elements, 2))
+    for gens in sets:
+        assert generate(gens).elements == _perm_closure(gens)
 
 
 def test_stabilizers():

@@ -3,6 +3,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw.errors import (
     NormalizationViolated,
@@ -21,7 +23,11 @@ from sqw.s3world import (
     H3,
     KERNEL_VECTORS,
     UNIT,
+    _GRID_CACHE_SIZE,
     _candidate_key,
+    _gain_after,
+    _grid_rows,
+    _pure_rows,
     _winner,
     MeasurementAxis,
     S3Coeffs,
@@ -200,6 +206,43 @@ def test_pure_circle_identities():
         np.testing.assert_allclose(
             np.outer(psi, psi.conj()), assemble_s3(coeffs), atol=1e-10
         )
+
+
+def _ulps_from(x, k):
+    """The float k steps from x, away from zero for k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf if k > 0 else 0.0, x))
+    return x
+
+
+_EDGE_T = st.one_of(
+    # the |t| = 1 switch between the t and 1/t branches
+    st.builds(_ulps_from, st.sampled_from([1.0, -1.0]), st.integers(-8, 8)),
+    st.floats(min_value=1e150, allow_infinity=False),
+    st.floats(max_value=-1e150, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(t=_EDGE_T)
+def test_t_param_circle_identities_at_the_edges(t):
+    coeffs = t_param(t)
+    assert abs(coeffs.b + coeffs.c + coeffs.d + 0.5) <= 4 * math.ulp(0.5)
+    r2 = coeffs.b**2 + coeffs.c**2 + coeffs.d**2
+    assert abs(r2 - 0.25) <= 4 * math.ulp(0.25)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_every_parameter_formula_rejects_nan(axis):
+    for call in (
+        t_param,
+        pure_concurrence,
+        lambda t: gain(axis, t),
+        lambda t: gain_closed_form(axis, t),
+    ):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            call(math.nan)
 
 
 def test_pure_vector_matches_rational_form():
@@ -449,6 +492,57 @@ def test_maximize_gain_calls_gain_once(axis, monkeypatch):
     monkeypatch.setattr(s3world, "gain", counted)
     assert maximize_gain(axis) == gain(axis, calls[0][1])
     assert len(calls) == 1
+
+
+MEMO_GRIDS = (1, 2, 3, 7, 101, 1001, 9999, 10000)
+MEMO_AXES = (MeasurementAxis.H1, MeasurementAxis.H2, MeasurementAxis.H1, MeasurementAxis.H3)
+
+
+def test_maximize_gain_repeats_its_first_call_bits():
+    assert len(MEMO_GRIDS) > _GRID_CACHE_SIZE  # so entries get evicted
+    _grid_rows.cache_clear()
+    passes = [
+        [bits(astuple(maximize_gain(axis, n))) for n in MEMO_GRIDS for axis in MEMO_AXES]
+        for _ in range(3)
+    ]
+    assert passes[1] == passes[0] and passes[2] == passes[0]
+    info = _grid_rows.cache_info()
+    assert info.hits > 0 and info.misses > _GRID_CACHE_SIZE
+    assert info.currsize == _GRID_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n", (1, 101, 10000))
+def test_grid_rows_are_read_only(n):
+    for array in _grid_rows(n):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.fill(0)
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_grid_rows_equal_a_fresh_gain_curve(n):
+    ts, point, bad_before = _grid_rows(n)
+    fresh_ts = t_grid(n)
+    fresh_point, fresh_bad = _pure_rows(fresh_ts)
+    assert bits(ts) == bits(fresh_ts)
+    for row, fresh_row in zip(point, fresh_point):
+        assert bits(row) == bits(fresh_row)
+    assert np.array_equal(bad_before, fresh_bad) and not bad_before.any()
+    for axis in AXES:
+        memo = _gain_after(axis, ts, point, bad_before)
+        for got, want in zip(memo, gain_curve(axis, fresh_ts)):
+            assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("n", (7, 10000))
+def test_mutating_a_t_grid_leaves_maximize_gain(n):
+    expected = [bits(astuple(maximize_gain(axis, n))) for axis in AXES]
+    for cold in (False, True):
+        if cold:
+            _grid_rows.cache_clear()
+        ours = t_grid(n)
+        ours.fill(math.nan)
+        assert [bits(astuple(maximize_gain(axis, n))) for axis in AXES] == expected
 
 
 # ---- the irreducible entangled state ----
