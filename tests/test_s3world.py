@@ -209,7 +209,7 @@ def test_pure_circle_identities():
 
 
 def _ulps_from(x, k):
-    """The float k steps from x, away from zero for k > 0."""
+    """The float |k| steps from x: away from zero for k > 0, toward it for k < 0."""
     for _ in range(abs(k)):
         x = math.nextafter(x, math.copysign(math.inf if k > 0 else 0.0, x))
     return x
