@@ -360,13 +360,6 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     return (1.0 + t * t - 2.0 * abs(t)) / (2.0 * den)
 
 
-def _require_grid(n: int):
-    if n < 1:
-        raise PreconditionViolated(
-            f"grid needs at least one point, got {n}", violation=float(1 - n)
-        )
-
-
 def t_grid(n: int) -> np.ndarray:
     """The compactified grid t_k = tan(k pi / n - pi / 2), k = 1..n, as float64.
 
@@ -376,7 +369,10 @@ def t_grid(n: int) -> np.ndarray:
     Raises ``PreconditionViolated`` for ``n < 1``, with the shortfall
     ``1 - n`` as its violation.
     """
-    _require_grid(n)
+    if n < 1:
+        raise PreconditionViolated(
+            f"grid needs at least one point, got {n}", violation=float(1 - n)
+        )
     thetas = np.arange(1, n) / n * math.pi - math.pi / 2
     return np.append(np.fromiter(map(math.tan, thetas), float, n - 1), math.inf)
 
@@ -438,20 +434,24 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     return _gain_after(axis, ts, *_pure_rows(ts))
 
 
-#: How many grid sizes keep their ``maximize_gain`` grid pass; an entry holds
-#: 41 bytes per grid point (about 0.4 MB at the default 10^4 points).
-_GRID_CACHE_SIZE = 4
+#: The largest grid whose ``maximize_gain`` grid pass is kept, the default
+#: size: an entry holds 41 bytes per grid point (about 0.4 MB at 10^4 points).
+_GRID_CACHE_MAX = 10_000
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # t_grid(n) and its _pure_rows, read-only: every axis and every later
-    # maximize_gain on this grid shares them.
+    # t_grid(n) and its _pure_rows, read-only, as _kept_grid_rows shares them.
     ts = t_grid(n)
     point, bad_before = _pure_rows(ts)
     for array in (ts, point, bad_before):
         array.setflags(write=False)
     return ts, point, bad_before
+
+
+# Only the last grid size is kept: every caller in the package and the
+# benchmark uses the default one. Typed, so 10000.0 still raises after a
+# call with np.int64(10000), an equal key.
+_kept_grid_rows = lru_cache(maxsize=1, typed=True)(_grid_rows)
 
 
 #: The evenly spaced angles of a ``maximize_gain`` zoom round, as fractions
@@ -493,8 +493,9 @@ def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResul
     The real line plus the point at infinity is swept through the compact
     angle theta in (-pi/2, pi/2] with t = tan(theta), infinite from pi/2 on.
     A grid pass over ``t_grid(grid_points)`` picks the best point (its
-    axis-independent half, the grid and its pure-state points, is built once
-    per grid size and kept read-only for the last few sizes used); zoom
+    axis-independent half, the grid and its pure-state points, is kept
+    read-only for the last size used up to the default, so a later call on
+    that grid, for any axis, recomputes only the channel); zoom
     rounds then evaluate 64 evenly spaced angles across the bracket of its
     two neighbours and narrow it to the neighbours of each round's best,
     until the bracket is below 1e-10 in t (or 1e-12 in theta, which bounds
@@ -505,8 +506,8 @@ def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResul
     ``PreconditionViolated`` for ``grid_points < 1``.
     """
     n = grid_points
-    _require_grid(n)
-    ts, point, bad_before = _grid_rows(n)
+    rows = _kept_grid_rows if n <= _GRID_CACHE_MAX else _grid_rows
+    ts, point, bad_before = rows(n)
     k, best_t, best_val = _best(ts, *_gain_after(axis, ts, point, bad_before))
     lo = k / n * math.pi - math.pi / 2 if k > 0 else -math.pi / 2 + math.pi / n / 2
     hi = (k + 2) / n * math.pi - math.pi / 2 if k < n - 1 else math.pi / 2

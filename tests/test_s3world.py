@@ -23,10 +23,10 @@ from sqw.s3world import (
     H3,
     KERNEL_VECTORS,
     UNIT,
-    _GRID_CACHE_SIZE,
+    _GRID_CACHE_MAX,
     _candidate_key,
     _gain_after,
-    _grid_rows,
+    _kept_grid_rows,
     _pure_rows,
     _winner,
     MeasurementAxis,
@@ -499,21 +499,23 @@ MEMO_AXES = (MeasurementAxis.H1, MeasurementAxis.H2, MeasurementAxis.H1, Measure
 
 
 def test_maximize_gain_repeats_its_first_call_bits():
-    assert len(MEMO_GRIDS) > _GRID_CACHE_SIZE  # so entries get evicted
-    _grid_rows.cache_clear()
+    assert max(MEMO_GRIDS) <= _GRID_CACHE_MAX  # every grid goes through the memo
+    _kept_grid_rows.cache_clear()
     passes = [
         [bits(astuple(maximize_gain(axis, n))) for n in MEMO_GRIDS for axis in MEMO_AXES]
         for _ in range(3)
     ]
     assert passes[1] == passes[0] and passes[2] == passes[0]
-    info = _grid_rows.cache_info()
-    assert info.hits > 0 and info.misses > _GRID_CACHE_SIZE
-    assert info.currsize == _GRID_CACHE_SIZE
+    info = _kept_grid_rows.cache_info()
+    # One build per grid per pass: each new size evicts the one before.
+    assert info.misses == 3 * len(MEMO_GRIDS)
+    assert info.hits == 3 * len(MEMO_GRIDS) * (len(MEMO_AXES) - 1)
+    assert info.currsize == 1
 
 
 @pytest.mark.parametrize("n", (1, 101, 10000))
 def test_grid_rows_are_read_only(n):
-    for array in _grid_rows(n):
+    for array in _kept_grid_rows(n):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.fill(0)
@@ -521,7 +523,7 @@ def test_grid_rows_are_read_only(n):
 
 @pytest.mark.parametrize("n", GRID_SIZES)
 def test_grid_rows_equal_a_fresh_gain_curve(n):
-    ts, point, bad_before = _grid_rows(n)
+    ts, point, bad_before = _kept_grid_rows(n)
     fresh_ts = t_grid(n)
     fresh_point, fresh_bad = _pure_rows(fresh_ts)
     assert bits(ts) == bits(fresh_ts)
@@ -539,10 +541,33 @@ def test_mutating_a_t_grid_leaves_maximize_gain(n):
     expected = [bits(astuple(maximize_gain(axis, n))) for axis in AXES]
     for cold in (False, True):
         if cold:
-            _grid_rows.cache_clear()
+            _kept_grid_rows.cache_clear()
         ours = t_grid(n)
         ours.fill(math.nan)
         assert [bits(astuple(maximize_gain(axis, n))) for axis in AXES] == expected
+
+
+def test_a_grid_above_the_default_is_not_kept():
+    _kept_grid_rows.cache_clear()
+    maximize_gain(MeasurementAxis.H2, _GRID_CACHE_MAX + 1)
+    assert _kept_grid_rows.cache_info().currsize == 0
+    maximize_gain(MeasurementAxis.H2)
+    maximize_gain(MeasurementAxis.H2, _GRID_CACHE_MAX + 1)
+    info = _kept_grid_rows.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    maximize_gain(MeasurementAxis.H3)
+    assert _kept_grid_rows.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("n", (10000, np.int64(10000)))
+def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
+    # np.int64(10000) and 10000.0 are equal and hash alike, so an untyped
+    # cache would hand the float the integer's grid.
+    _kept_grid_rows.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            maximize_gain(MeasurementAxis.H1, 10000.0)
+        maximize_gain(MeasurementAxis.H1, n)
 
 
 # ---- the irreducible entangled state ----
