@@ -1,9 +1,11 @@
 """Command-line front end: verification, state analysis, measurement, sweeps.
 
 Exit codes: 0 success, 1 invalid state or failed verification, 2 usage
-error (including unwritable output paths). Numbers in machine-readable
-output carry 12 significant digits; identical invocations produce
-byte-identical output.
+error (including unwritable output paths and an unwritable standard output).
+Numbers in machine-readable output carry 12 significant digits; identical
+invocations produce byte-identical output.
+``twoqubit``, ``xworld`` and ``permworld`` are imported only by the
+subcommands that run them.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .errors import InvalidState
-from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
+from .linalg import PURE_TOL
 from .report import CheckResult, Report
 from .s3world import (
     A,
@@ -26,7 +29,6 @@ from .s3world import (
     H3,
     NORM_TOL,
     UNIT,
-    GainResult,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
@@ -41,8 +43,6 @@ from .s3world import (
     t_grid,
     t_param,
 )
-from .twoqubit import PURE_TOL, concurrence_oracle, purity, validate_density
-from .xworld import check_x_relations
 
 
 class _UsageError(Exception):
@@ -54,11 +54,9 @@ def _sig(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _t_value(t: float):
-    return "inf" if math.isinf(t) else _sig(t)
-
-
 def _state_report(coeffs: S3Coeffs) -> dict:
+    from .twoqubit import concurrence_oracle, purity, validate_density
+
     dm = validate_density(assemble_s3(coeffs))
     unit_a = abs(coeffs.a - 1.0) <= NORM_TOL
     oracle = concurrence_oracle(dm)
@@ -86,21 +84,17 @@ def _state_report(coeffs: S3Coeffs) -> dict:
     }
 
 
-def _print_state_text(report: dict, indent: str = "", out=None):
-    out = out or sys.stdout
+def _print_state_text(report: dict, indent: str = ""):
     co = report["coeffs"]
-    print(
-        f"{indent}coeffs: a={co['a']:.12g} b={co['b']:.12g} "
-        f"c={co['c']:.12g} d={co['d']:.12g}",
-        file=out,
-    )
+    print(f"{indent}coeffs: a={co['a']:.12g} b={co['b']:.12g} "
+          f"c={co['c']:.12g} d={co['d']:.12g}")
     eig = " ".join(f"{v:.12g}" for v in report["eigenvalues"])
-    print(f"{indent}eigenvalues: {eig}", file=out)
-    print(f"{indent}pure: {str(report['pure']).lower()}", file=out)
+    print(f"{indent}eigenvalues: {eig}")
+    print(f"{indent}pure: {str(report['pure']).lower()}")
     for key in ("criterion_R", "concurrence_closed", "concurrence_oracle", "eof"):
         val = report[key]
         text = "n/a" if val is None else f"{val:.12g}"
-        print(f"{indent}{key}: {text}", file=out)
+        print(f"{indent}{key}: {text}")
 
 
 def _add_state_flags(parser: argparse.ArgumentParser):
@@ -147,6 +141,8 @@ def _report_payload(world: str, report: Report, extra: dict | None = None) -> di
 
 
 def _s4_report() -> tuple[Report, dict]:
+    from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
+
     subgroups = enumerate_subgroups()
     order6 = [s for s in subgroups if s.order == 6]
     generator_set = {
@@ -176,6 +172,8 @@ def _s4_report() -> tuple[Report, dict]:
 
 def _cmd_check(args) -> int:
     if args.world == "x":
+        from .xworld import check_x_relations
+
         report, extra = check_x_relations(), None
     elif args.world == "s3":
         report, extra = check_s3_relations(), None
@@ -229,11 +227,21 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _sweep_rows(axis: MeasurementAxis, points: int) -> list[GainResult]:
+def _sweep_rows(axis: MeasurementAxis, points: int):
+    """``(t, c_before, c_after, delta_c)`` float rows over ``t_grid(points)``."""
     ts = t_grid(points)
     c_before, c_after = gain_curve(axis, ts)
-    columns = (ts, c_after - c_before, c_before, c_after)
-    return [GainResult(*row) for row in zip(*(col.tolist() for col in columns))]
+    columns = (ts, c_before, c_after, c_after - c_before)
+    return zip(*(col.tolist() for col in columns))
+
+
+def _sweep_record(t: float, c_before: float, c_after: float, delta_c: float) -> dict:
+    return {
+        "t": "inf" if math.isinf(t) else _sig(t),
+        "c_before": _sig(c_before),
+        "c_after": _sig(c_after),
+        "delta_c": _sig(delta_c),
+    }
 
 
 def _cmd_sweep(args) -> int:
@@ -245,30 +253,15 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "axis": axis.value,
-            "records": [
-                {
-                    "t": _t_value(r.t_star),
-                    "c_before": _sig(r.c_before),
-                    "c_after": _sig(r.c_after),
-                    "delta_c": _sig(r.delta_c),
-                }
-                for r in rows
-            ],
-            "max": {
-                "t": _t_value(best.t_star),
-                "c_before": _sig(best.c_before),
-                "c_after": _sig(best.c_after),
-                "delta_c": _sig(best.delta_c),
-            },
+            "records": [_sweep_record(*row) for row in rows],
+            "max": _sweep_record(best.t_star, best.c_before, best.c_after, best.delta_c),
         }
         text = json.dumps(payload) + "\n"
     else:
         lines = ["t,c_before,c_after,delta_c"]
-        for r in rows:
-            t_text = "inf" if math.isinf(r.t_star) else f"{r.t_star:.12g}"
-            lines.append(
-                f"{t_text},{r.c_before:.12g},{r.c_after:.12g},{r.delta_c:.12g}"
-            )
+        for t, c_before, c_after, delta_c in rows:
+            t_text = "inf" if math.isinf(t) else f"{t:.12g}"
+            lines.append(f"{t_text},{c_before:.12g},{c_after:.12g},{delta_c:.12g}")
         best_t = "inf" if math.isinf(best.t_star) else f"{best.t_star:.12g}"
         lines.append(
             f"# max t={best_t} c_before={best.c_before:.12g} "
@@ -313,6 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a failed write to stdout exits 2, like a bad ``--out``."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # Else the flush at interpreter exit fails again on what is buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,6 +30,8 @@ UNIT = locked(np.eye(4))
 
 #: Largest Hermiticity defect ||m - m^dagger||_F that ``herm_eigen`` accepts.
 HERMITIAN_TOL = 1e-10
+#: Distance from the pure-state value within which a state counts as pure.
+PURE_TOL = 1e-9
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 _SCALE_ABOVE = 1e150
 

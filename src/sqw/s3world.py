@@ -27,9 +27,8 @@ from .errors import (
     OutsideValidityWindow,
     PreconditionViolated,
 )
-from .linalg import UNIT, Mat4, Vec4, herm_eigen, locked
+from .linalg import PURE_TOL, UNIT, Mat4, Vec4, herm_eigen, locked
 from .report import CheckResult, Report, exact
-from .twoqubit import PURE_TOL
 
 NORM_TOL = 1e-12
 WINDOW_TOL = 1e-12
@@ -374,7 +373,7 @@ def t_grid(n: int) -> np.ndarray:
             f"grid needs at least one point, got {n}", violation=float(1 - n)
         )
     thetas = np.arange(1, n) / n * math.pi - math.pi / 2
-    return np.append(np.fromiter(map(math.tan, thetas), float, n - 1), math.inf)
+    return np.append(np.fromiter(map(math.tan, thetas.tolist()), float, n - 1), math.inf)
 
 
 def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne
-from .linalg import HERMITIAN_TOL, Mat4, herm_eigen
+from .linalg import HERMITIAN_TOL, PURE_TOL, Mat4, herm_eigen  # noqa: F401  (re-exported)
 
 #: The tolerances of ``validate_density``, beside ``herm_eigen``'s ``HERMITIAN_TOL``.
 TRACE_TOL = 1e-10
 EIGEN_TOL = 1e-9
-#: Distance from the pure-state value within which a state counts as pure.
-PURE_TOL = 1e-9
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Y.setflags(write=False)

@@ -16,9 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotPSD
-from .linalg import UNIT, locked
+from .linalg import PURE_TOL, UNIT, locked
 from .report import Report, exact
-from .twoqubit import PURE_TOL, DensityMatrix, validate_density
+from .twoqubit import DensityMatrix, validate_density
 
 #: Positions that must vanish for an X-patterned matrix (row, col).
 OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))

@@ -297,6 +297,26 @@ def test_sweep_matches_golden_bytes(capsys, tmp_path, axis, points, fmt):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("help", ["--help"], 0),
+        ("check", ["check", "--help"], 0),
+        ("state", ["state", "--help"], 0),
+        ("measure", ["measure", "--help"], 0),
+        ("sweep", ["sweep", "--help"], 0),
+        ("sweep_points_1", ["sweep", "--axis", "h1", "--points", "1", "--out", os.devnull], 2),
+    ],
+)
+def test_usage_matches_golden_bytes(capsys, monkeypatch, name, argv, code):
+    # argparse wraps help text to the terminal width, read from COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run(capsys, *argv)
+    assert got_code == code
+    golden = (GOLDEN / f"usage_{name}.txt").read_text(encoding="utf-8")
+    assert (out, err) == ((golden, "") if code == 0 else ("", golden))
+
+
 # ---- argv fuzzing ----
 
 _VALUES = st.sampled_from(
