@@ -49,6 +49,13 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    # Help raises a failed write's OSError, which argparse swallows (exit 0).
+    # Subparsers inherit the class.
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _sig(x: float) -> float:
     """Round to 12 significant digits (stable under JSON round-trips)."""
     return float(f"{float(x):.12g}")
@@ -277,7 +284,7 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqw",
         description="Restricted two-qubit families: verification and analysis.",
     )

@@ -384,40 +384,6 @@ def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~((dev <= NORM_TOL) & (q >= -WINDOW_TOL) & (q <= WINDOW_MAX + WINDOW_TOL))
 
 
-def _pure_rows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The axis-independent half of gain_curve: the (b, c, d, c_before) rows of
-    # the pure-state points and where they fail S3Coeffs or the window check.
-    # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
-    # coefficient, which no output and no check depends on.
-    big = np.abs(ts) > 1.0
-    point = np.empty((4,) + ts.shape)
-    for mask, point_at, x in (
-        (big, _circle_point_inv, 1.0 / ts[big]),
-        (~big, _circle_point, ts[~big]),
-    ):
-        if x.size:  # a zoom round lies on one side of |t| = 1
-            for row, value in zip(point, point_at(x)):
-                row[mask] = value
-    return point, _invalid_unit_a(*point[:3])
-
-
-def _gain_after(
-    axis: MeasurementAxis, ts: np.ndarray, point: np.ndarray, bad_before: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # The axis half of gain_curve: the channel, its checks, then c_after.
-    b, c, d, c_before = point
-    after = _channel(axis, b, c, d)
-    bad = bad_before | _invalid_unit_a(*after)
-    if bad.any():
-        t_bad = float(ts.flat[np.argmax(bad)])
-        gain(axis, t_bad)
-        raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
-    prod = (0.5 + after[0]) * (0.5 + after[1])
-    # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
-    c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
-    return c_before, c_after
-
-
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     """``(c_before, c_after)`` of ``gain(axis, t)`` for every ``t`` in ``ts``.
 
@@ -430,27 +396,27 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     costs about ten scalar calls. ``maximize_gain`` searches only through it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _gain_after(axis, ts, *_pure_rows(ts))
-
-
-#: The largest grid whose ``maximize_gain`` grid pass is kept, the default
-#: size: an entry holds 41 bytes per grid point (about 0.4 MB at 10^4 points).
-_GRID_CACHE_MAX = 10_000
-
-
-def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # t_grid(n) and its _pure_rows, read-only, as _kept_grid_rows shares them.
-    ts = t_grid(n)
-    point, bad_before = _pure_rows(ts)
-    for array in (ts, point, bad_before):
-        array.setflags(write=False)
-    return ts, point, bad_before
-
-
-# Only the last grid size is kept: every caller in the package and the
-# benchmark uses the default one. Typed, so 10000.0 still raises after a
-# call with np.int64(10000), an equal key.
-_kept_grid_rows = lru_cache(maxsize=1, typed=True)(_grid_rows)
+    # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
+    # coefficient, which no output and no check depends on.
+    big = np.abs(ts) > 1.0
+    b, c, d, c_before = point = np.empty((4,) + ts.shape)
+    for mask, point_at, x in (
+        (big, _circle_point_inv, 1.0 / ts[big]),
+        (~big, _circle_point, ts[~big]),
+    ):
+        if x.size:  # a zoom round lies on one side of |t| = 1
+            for row, value in zip(point, point_at(x)):
+                row[mask] = value
+    after = _channel(axis, b, c, d)
+    bad = _invalid_unit_a(b, c, d) | _invalid_unit_a(*after)
+    if bad.any():
+        t_bad = float(ts.flat[np.argmax(bad)])
+        gain(axis, t_bad)
+        raise AssertionError(f"gain_curve rejected t = {t_bad!r}, which gain accepts")
+    prod = (0.5 + after[0]) * (0.5 + after[1])
+    # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
+    c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    return c_before, c_after
 
 
 #: The evenly spaced angles of a ``maximize_gain`` zoom round, as fractions
@@ -465,13 +431,12 @@ def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
     return (value, 0, -math.inf)
 
 
-def _best(
-    ts: np.ndarray, c_before: np.ndarray, c_after: np.ndarray
-) -> tuple[int, float, float]:
+def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
     """Index, t and gain of the best point of ``ts`` by ``_candidate_key``.
 
     The first of equal keys, as a scan keeping strict improvements picks.
     """
+    c_before, c_after = gain_curve(axis, ts)
     deltas = c_after - c_before
     best_val = float(deltas.max())
     i = max(
@@ -481,20 +446,14 @@ def _best(
     return i, float(ts[i]), float(deltas[i])
 
 
-def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
-    # The best point of gain_curve(axis, ts).
-    return _best(ts, *gain_curve(axis, ts))
-
-
+# Typed, so 10000.0 still raises after a call with np.int64(10000), an equal key.
+@lru_cache(typed=True)
 def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResult:
     """Maximize the measurement gain over all pure states.
 
     The real line plus the point at infinity is swept through the compact
     angle theta in (-pi/2, pi/2] with t = tan(theta), infinite from pi/2 on.
-    A grid pass over ``t_grid(grid_points)`` picks the best point (its
-    axis-independent half, the grid and its pure-state points, is kept
-    read-only for the last size used up to the default, so a later call on
-    that grid, for any axis, recomputes only the channel); zoom
+    A grid pass over ``t_grid(grid_points)`` picks the best point; zoom
     rounds then evaluate 64 evenly spaced angles across the bracket of its
     two neighbours and narrow it to the neighbours of each round's best,
     until the bracket is below 1e-10 in t (or 1e-12 in theta, which bounds
@@ -502,12 +461,12 @@ def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResul
     evaluated through ``gain_curve``; ``gain`` is called once, for the
     returned winner. Exact ties resolve to finite t over infinity, then
     to the smallest |t|, then to the earlier point. Raises
-    ``PreconditionViolated`` for ``grid_points < 1``.
+    ``PreconditionViolated`` for ``grid_points < 1``. The result is
+    deterministic in ``(axis, grid_points)`` and frozen, so it is memoized:
+    a repeat call returns the same object and builds no grid.
     """
     n = grid_points
-    rows = _kept_grid_rows if n <= _GRID_CACHE_MAX else _grid_rows
-    ts, point, bad_before = rows(n)
-    k, best_t, best_val = _best(ts, *_gain_after(axis, ts, point, bad_before))
+    k, best_t, best_val = _winner(axis, t_grid(n))
     lo = k / n * math.pi - math.pi / 2 if k > 0 else -math.pi / 2 + math.pi / n / 2
     hi = (k + 2) / n * math.pi - math.pi / 2 if k < n - 1 else math.pi / 2
     while hi - lo > 1e-12 and (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne
-from .linalg import HERMITIAN_TOL, PURE_TOL, Mat4, herm_eigen  # noqa: F401  (re-exported)
+from .linalg import Mat4, herm_eigen
 
 #: The tolerances of ``validate_density``, beside ``herm_eigen``'s ``HERMITIAN_TOL``.
 TRACE_TOL = 1e-10

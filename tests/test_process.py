@@ -99,9 +99,9 @@ def test_unknown_name_raises_attribute_error():
 
 # ---- unwritable standard output ----
 
-# An empty PYTHONUNBUFFERED leaves stdout buffered. Unbuffered, argparse itself
-# drops help text it cannot write and exits 0; buffered, the text fails in
-# main's flush like any other output.
+# An empty PYTHONUNBUFFERED leaves stdout buffered. Buffered or not, help text
+# that cannot be written fails like any other output: argparse's own
+# print_help would swallow the error and exit 0.
 @pytest.mark.skipif(not DEV_FULL.exists(), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv, unbuffered",
@@ -111,6 +111,8 @@ def test_unknown_name_raises_attribute_error():
         (["check", "s4", "--format", "json"], ""),
         (["check", "s4", "--format", "json"], "1"),
         (["--help"], ""),
+        (["--help"], "1"),
+        (["sweep", "--help"], "1"),
     ],
 )
 def test_unwritable_stdout_exits_two(argv, unbuffered):

@@ -23,11 +23,7 @@ from sqw.s3world import (
     H3,
     KERNEL_VECTORS,
     UNIT,
-    _GRID_CACHE_MAX,
     _candidate_key,
-    _gain_after,
-    _kept_grid_rows,
-    _pure_rows,
     _winner,
     MeasurementAxis,
     S3Coeffs,
@@ -215,12 +211,14 @@ def _ulps_from(x, k):
     return x
 
 
+#: The subnormals, zero and the smallest normal floats of either sign.
+_SUBNORMAL = st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
 _EDGE_T = st.one_of(
     # the |t| = 1 switch between the t and 1/t branches
     st.builds(_ulps_from, st.sampled_from([1.0, -1.0]), st.integers(-8, 8)),
     st.floats(min_value=1e150, allow_infinity=False),
     st.floats(max_value=-1e150, allow_infinity=False),
-    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    _SUBNORMAL,
 )
 
 
@@ -231,6 +229,55 @@ def test_t_param_circle_identities_at_the_edges(t):
     assert abs(coeffs.b + coeffs.c + coeffs.d + 0.5) <= 4 * math.ulp(0.5)
     r2 = coeffs.b**2 + coeffs.c**2 + coeffs.d**2
     assert abs(r2 - 0.25) <= 4 * math.ulp(0.25)
+
+
+def _assert_valid_spectrum(coeffs):
+    spectrum = s3_spectrum(coeffs)
+    assert all(math.isfinite(w) for w in spectrum)
+    assert abs(sum(spectrum) - 1.0) <= 4 * math.ulp(1.0)
+
+
+# On the unit-a plane the pair sum is 1/12 - rho^2 / 2, with rho the distance
+# from the symmetric state: 0 on the pure circle and 1/12 at its centre.
+_PLANE_U = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+_PLANE_V = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    target=st.sampled_from([0.0, 1.0 / 12.0]),
+    offset=st.floats(min_value=-0.9e-15, max_value=0.9e-15),
+    phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+def test_pair_sum_at_the_window_edges(target, offset, phi):
+    # No point of the plane has a pair sum above 1/12; 0 may be missed either way.
+    q = target - abs(offset) if target else offset
+    rho = math.sqrt(2.0 * (1.0 / 12.0 - q))
+    b, c, d = -1 / 6 + rho * (math.cos(phi) * _PLANE_U + math.sin(phi) * _PLANE_V)
+    coeffs = S3Coeffs(1.0, float(b), float(c), float(d))
+    assert abs(pair_sum(coeffs) - target) <= 1e-15
+    _assert_valid_spectrum(coeffs)
+    c_closed = concurrence_closed(coeffs)
+    assert math.isfinite(c_closed) and c_closed >= 0.0
+    for axis in AXES:
+        _assert_valid_spectrum(measure_update(coeffs, axis))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=_SUBNORMAL, y=_SUBNORMAL, z=_SUBNORMAL, slot=st.integers(0, 2))
+def test_subnormal_coefficients_pass_the_checks(x, y, z, slot):
+    # Mixed family: a = 1/2 and three subnormal couplings.
+    coeffs = S3Coeffs(0.5, x, y, z)
+    assert abs(pair_sum(coeffs)) <= 1e-300
+    # Unit-a family: one coupling -1/2 and two subnormal ones.
+    couplings = [x, y]
+    couplings.insert(slot, -0.5)
+    coeffs = S3Coeffs(1.0, *couplings)
+    assert abs(pair_sum(coeffs)) <= 1e-300
+    _assert_valid_spectrum(coeffs)
+    assert math.isfinite(concurrence_closed(coeffs))
+    for axis in AXES:
+        _assert_valid_spectrum(measure_update(coeffs, axis))
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -489,6 +536,7 @@ def test_maximize_gain_calls_gain_once(axis, monkeypatch):
         calls.append(args)
         return gain(*args)
 
+    maximize_gain.cache_clear()  # a memo hit would call nothing
     monkeypatch.setattr(s3world, "gain", counted)
     assert maximize_gain(axis) == gain(axis, calls[0][1])
     assert len(calls) == 1
@@ -499,41 +547,24 @@ MEMO_AXES = (MeasurementAxis.H1, MeasurementAxis.H2, MeasurementAxis.H1, Measure
 
 
 def test_maximize_gain_repeats_its_first_call_bits():
-    assert max(MEMO_GRIDS) <= _GRID_CACHE_MAX  # every grid goes through the memo
-    _kept_grid_rows.cache_clear()
+    maximize_gain.cache_clear()
     passes = [
         [bits(astuple(maximize_gain(axis, n))) for n in MEMO_GRIDS for axis in MEMO_AXES]
         for _ in range(3)
     ]
     assert passes[1] == passes[0] and passes[2] == passes[0]
-    info = _kept_grid_rows.cache_info()
-    # One build per grid per pass: each new size evicts the one before.
-    assert info.misses == 3 * len(MEMO_GRIDS)
-    assert info.hits == 3 * len(MEMO_GRIDS) * (len(MEMO_AXES) - 1)
-    assert info.currsize == 1
+    info = maximize_gain.cache_info()
+    # One search per distinct (axis, grid); H1 repeats within a pass.
+    keys = len(MEMO_GRIDS) * len(set(MEMO_AXES))
+    assert (info.misses, info.currsize) == (keys, keys)
+    assert info.hits == 3 * len(MEMO_GRIDS) * len(MEMO_AXES) - keys
 
 
-@pytest.mark.parametrize("n", (1, 101, 10000))
-def test_grid_rows_are_read_only(n):
-    for array in _kept_grid_rows(n):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array.fill(0)
-
-
-@pytest.mark.parametrize("n", GRID_SIZES)
-def test_grid_rows_equal_a_fresh_gain_curve(n):
-    ts, point, bad_before = _kept_grid_rows(n)
-    fresh_ts = t_grid(n)
-    fresh_point, fresh_bad = _pure_rows(fresh_ts)
-    assert bits(ts) == bits(fresh_ts)
-    for row, fresh_row in zip(point, fresh_point):
-        assert bits(row) == bits(fresh_row)
-    assert np.array_equal(bad_before, fresh_bad) and not bad_before.any()
-    for axis in AXES:
-        memo = _gain_after(axis, ts, point, bad_before)
-        for got, want in zip(memo, gain_curve(axis, fresh_ts)):
-            assert bits(got) == bits(want)
+def test_a_repeat_call_returns_the_same_result_object():
+    maximize_gain.cache_clear()
+    first = maximize_gain(MeasurementAxis.H2, 101)
+    assert maximize_gain(MeasurementAxis.H2, 101) is first
+    assert maximize_gain(MeasurementAxis.H3, 101) is not first
 
 
 @pytest.mark.parametrize("n", (7, 10000))
@@ -541,29 +572,17 @@ def test_mutating_a_t_grid_leaves_maximize_gain(n):
     expected = [bits(astuple(maximize_gain(axis, n))) for axis in AXES]
     for cold in (False, True):
         if cold:
-            _kept_grid_rows.cache_clear()
+            maximize_gain.cache_clear()
         ours = t_grid(n)
         ours.fill(math.nan)
         assert [bits(astuple(maximize_gain(axis, n))) for axis in AXES] == expected
 
 
-def test_a_grid_above_the_default_is_not_kept():
-    _kept_grid_rows.cache_clear()
-    maximize_gain(MeasurementAxis.H2, _GRID_CACHE_MAX + 1)
-    assert _kept_grid_rows.cache_info().currsize == 0
-    maximize_gain(MeasurementAxis.H2)
-    maximize_gain(MeasurementAxis.H2, _GRID_CACHE_MAX + 1)
-    info = _kept_grid_rows.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    maximize_gain(MeasurementAxis.H3)
-    assert _kept_grid_rows.cache_info().hits == 1
-
-
 @pytest.mark.parametrize("n", (10000, np.int64(10000)))
 def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
     # np.int64(10000) and 10000.0 are equal and hash alike, so an untyped
-    # cache would hand the float the integer's grid.
-    _kept_grid_rows.cache_clear()
+    # memo would hand the float the integer's result.
+    maximize_gain.cache_clear()
     for _ in range(2):
         with pytest.raises(TypeError):
             maximize_gain(MeasurementAxis.H1, 10000.0)
