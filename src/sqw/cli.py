@@ -27,7 +27,6 @@ from .s3world import (
     H1,
     H2,
     H3,
-    NORM_TOL,
     UNIT,
     MeasurementAxis,
     S3Coeffs,
@@ -37,6 +36,7 @@ from .s3world import (
     gain_curve,
     ie_state,
     is_pure,
+    is_unit_a,
     maximize_gain,
     mean_values,
     measure_update,
@@ -65,9 +65,8 @@ def _state_report(coeffs: S3Coeffs) -> dict:
     from .twoqubit import concurrence_oracle, purity, validate_density
 
     dm = validate_density(assemble_s3(coeffs))
-    unit_a = abs(coeffs.a - 1.0) <= NORM_TOL
     oracle = concurrence_oracle(dm)
-    if unit_a:
+    if is_unit_a(coeffs):
         pure = is_pure(coeffs)
         criterion_r = _sig(mean_values(coeffs).r)
         closed = _sig(concurrence_closed(coeffs))

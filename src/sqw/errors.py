@@ -6,6 +6,9 @@ Every error carries the measured magnitude of the violation in
 
 from __future__ import annotations
 
+import math
+from typing import NoReturn
+
 
 class InvalidState(ValueError):
     """Base class for state/coefficient validation failures."""
@@ -37,3 +40,9 @@ class OutsideValidityWindow(InvalidState):
 
 class PreconditionViolated(InvalidState):
     """An operation-specific input constraint does not hold."""
+
+
+def reject_non_finite(values, what: str = "coefficients") -> NoReturn:
+    """Raise ``PreconditionViolated`` with the count of non-finite ``values``."""
+    bad = sum(not math.isfinite(v) for v in values)
+    raise PreconditionViolated(f"{what} must be finite", violation=float(bad))

@@ -28,10 +28,23 @@ def locked(rows) -> Mat4:
 UNIT = locked(np.eye(4))
 
 
+# The tolerance table: every validity verdict in the package is decided here.
 #: Largest Hermiticity defect ||m - m^dagger||_F that ``herm_eigen`` accepts.
 HERMITIAN_TOL = 1e-10
+#: Largest trace defect |tr m - 1| that ``validate_density`` accepts.
+TRACE_TOL = 1e-10
+#: ``validate_density`` rejects an eigenvalue below -EIGEN_TOL.
+EIGEN_TOL = 1e-9
 #: Distance from the pure-state value within which a state counts as pure.
 PURE_TOL = 1e-9
+#: Coefficient sums, the unit-``a`` slice, the pair-sum window [0, 1/12], the
+#: X-state positivity ball and the deviations that ``ie_checks`` accepts.
+COEFF_TOL = 1e-12
+#: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
+REACH_PSD_TOL = 1e-10
+#: Smallest component magnitude that ``pure_vector`` fixes the phase on.
+PHASE_TOL = 1e-8
+
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 _SCALE_ABOVE = 1e150
 

@@ -14,6 +14,7 @@ forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,23 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    NormalizationViolated,
-    NotPSD,
-    OutsideValidityWindow,
-    PreconditionViolated,
+    NormalizationViolated, NotPSD, OutsideValidityWindow, PreconditionViolated,
+    reject_non_finite,
 )
-from .linalg import PURE_TOL, UNIT, Mat4, Vec4, herm_eigen, locked
+from .linalg import (
+    COEFF_TOL, PHASE_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, herm_eigen, locked,
+)
 from .report import CheckResult, Report, exact
 
-NORM_TOL = 1e-12
-WINDOW_TOL = 1e-12
-#: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
-REACH_PSD_TOL = 1e-10
-#: Smallest component magnitude that ``pure_vector`` fixes the phase on.
-PHASE_TOL = 1e-8
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
-_NOT_FINITE = "coefficients must be finite"
 
 
 #: Pair swaps of basis states (1,2), (1,3) and (2,3); each squares to 1.
@@ -71,6 +65,24 @@ _KERNEL_2.setflags(write=False)
 KERNEL_VECTORS: tuple[Vec4, Vec4] = (_KERNEL_1, _KERNEL_2)
 
 
+def _norm_defect(total):
+    # |total - 1/2| of a coefficient sum, on floats or arrays; a non-finite
+    # coefficient makes it non-finite, so `not defect <= COEFF_TOL` catches both.
+    return abs(total - 0.5)
+
+
+def _in_window(q):
+    # Whether the pair sum q lies in [0, 1/12] to COEFF_TOL, on floats or arrays.
+    return (q >= -COEFF_TOL) & (q <= WINDOW_MAX + COEFF_TOL)
+
+
+def _reject_sum(terms: str, values: tuple, dev: float):
+    # The failure path of a normalization check: non-finite values come first.
+    if not all(map(math.isfinite, values)):
+        reject_non_finite(values)
+    raise NormalizationViolated(f"{terms} differs from 1/2 by {dev:.3e}", violation=dev)
+
+
 @dataclass(frozen=True)
 class S3Coeffs:
     """Coefficients of a/2 + b H1 + c H2 + d H3 with a + b + c + d = 1/2."""
@@ -81,14 +93,9 @@ class S3Coeffs:
     d: float
 
     def __post_init__(self):
-        vals = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(_NOT_FINITE)
-        dev = abs(self.a + self.b + self.c + self.d - 0.5)
-        if dev > NORM_TOL:
-            raise NormalizationViolated(
-                f"a + b + c + d differs from 1/2 by {dev:.3e}", violation=dev
-            )
+        dev = _norm_defect(self.a + self.b + self.c + self.d)
+        if not dev <= COEFF_TOL:
+            _reject_sum("a + b + c + d", (self.a, self.b, self.c, self.d), dev)
 
 
 class MeasurementAxis(Enum):
@@ -120,12 +127,9 @@ class GainResult:
     c_after: float
 
 
-def _require_unit_a(coeffs: S3Coeffs):
-    if abs(coeffs.a - 1.0) > NORM_TOL:
-        raise PreconditionViolated(
-            f"operation requires the unit-a family, got a = {coeffs.a!r}",
-            violation=abs(coeffs.a - 1.0),
-        )
+def is_unit_a(coeffs: S3Coeffs) -> bool:
+    """Whether ``coeffs`` lies on the unit-``a`` slice, a = 1 to ``COEFF_TOL``."""
+    return abs(coeffs.a - 1.0) <= COEFF_TOL
 
 
 def pair_sum(coeffs: S3Coeffs) -> float:
@@ -133,9 +137,16 @@ def pair_sum(coeffs: S3Coeffs) -> float:
     return coeffs.b * coeffs.c + coeffs.b * coeffs.d + coeffs.c * coeffs.d
 
 
-def _require_window(coeffs: S3Coeffs) -> float:
+def _require_unit_a_state(coeffs: S3Coeffs) -> float:
+    # The pair sum of a unit-a state in the window; else PreconditionViolated
+    # off the unit-a slice, then OutsideValidityWindow.
+    if not is_unit_a(coeffs):
+        raise PreconditionViolated(
+            f"operation requires the unit-a family, got a = {coeffs.a!r}",
+            violation=abs(coeffs.a - 1.0),
+        )
     q = pair_sum(coeffs)
-    if q < -WINDOW_TOL or q > WINDOW_MAX + WINDOW_TOL:
+    if not _in_window(q):
         raise OutsideValidityWindow(
             f"bc + bd + cd = {q!r} outside [0, 1/12]",
             violation=float(max(-q, q - WINDOW_MAX)),
@@ -165,11 +176,9 @@ def reduce_five_coeff(k: float, l: float, m: float, n: float, p: float) -> S3Coe
     the four-term one because ``A + B = H1 + H2 + H3 - 1``; the folded
     coefficients are ``(k - 2p, l + p, m + p, n + p)``.
     """
-    dev = abs(k + l + m + n + p - 0.5)
-    if dev > NORM_TOL:
-        raise NormalizationViolated(
-            f"k + l + m + n + p differs from 1/2 by {dev:.3e}", violation=dev
-        )
+    dev = _norm_defect(k + l + m + n + p)
+    if not dev <= COEFF_TOL:
+        _reject_sum("k + l + m + n + p", (k, l, m, n, p), dev)
     return S3Coeffs(a=k - 2 * p, b=l + p, c=m + p, d=n + p)
 
 
@@ -187,15 +196,17 @@ def s3_spectrum(coeffs: S3Coeffs) -> tuple[float, float, float, float]:
     two are the roots of ``mu^2 - mu + 3(bc + bd + cd) = 0``. Raises
     ``OutsideValidityWindow`` when the pair sum leaves [0, 1/12].
     """
-    _require_unit_a(coeffs)
-    q = _require_window(coeffs)
+    q = _require_unit_a_state(coeffs)
     disc = math.sqrt(max(1.0 - 12.0 * q, 0.0))
     return (0.0, 0.0, (1.0 - disc) / 2.0, (1.0 + disc) / 2.0)
 
 
 def is_pure(coeffs: S3Coeffs) -> bool:
-    """Purity test b^2 + c^2 + d^2 = 1/4, to ``PURE_TOL``, for unit-``a`` states."""
-    _require_unit_a(coeffs)
+    """Purity test b^2 + c^2 + d^2 = 1/4, to ``PURE_TOL``, for unit-``a`` states.
+
+    Raises ``OutsideValidityWindow`` when the pair sum leaves [0, 1/12].
+    """
+    _require_unit_a_state(coeffs)
     r2 = coeffs.b ** 2 + coeffs.c ** 2 + coeffs.d ** 2
     return abs(r2 - 0.25) <= PURE_TOL
 
@@ -220,7 +231,7 @@ def _pure_point(t: float) -> tuple[float, float, float, float]:
     if math.isinf(t):
         return -0.5, 0.0, 0.0, 0.0
     if math.isnan(t):
-        raise ValueError(_NOT_FINITE)
+        reject_non_finite((t,))
     return _circle_point_inv(1.0 / t)
 
 
@@ -256,9 +267,10 @@ def mean_values(coeffs: S3Coeffs) -> MeanValues:
     """Shifted swap expectations A_i = <H_i> - 1 and R = A1^2 + A2^2 + A3^2.
 
     For every unit-``a`` state A1 + A2 + A3 = -3; R equals 9/2 exactly on
-    pure states and is smaller on mixed ones.
+    pure states and is smaller on mixed ones; a pair sum outside [0, 1/12],
+    where R would exceed 9/2, raises ``OutsideValidityWindow``.
     """
-    _require_unit_a(coeffs)
+    _require_unit_a_state(coeffs)
     rho = assemble_s3(coeffs)
     a1 = float(np.trace(rho @ H1).real) - 1.0
     a2 = float(np.trace(rho @ H2).real) - 1.0
@@ -272,8 +284,7 @@ def concurrence_closed(coeffs: S3Coeffs) -> float:
     Both factors are diagonal entries of the assembled matrix, hence
     nonnegative on the validity window (clamped against rounding).
     """
-    _require_unit_a(coeffs)
-    _require_window(coeffs)
+    _require_unit_a_state(coeffs)
     prod = (0.5 + coeffs.b) * (0.5 + coeffs.c)
     return 2.0 * math.sqrt(max(prod, 0.0))
 
@@ -300,8 +311,7 @@ def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
         H2: (b, c, d) -> ((b+d)/2, c, (b+d)/2)
         H3: (b, c, d) -> ((b+c)/2, (b+c)/2, d)
     """
-    _require_unit_a(coeffs)
-    _require_window(coeffs)
+    _require_unit_a_state(coeffs)
     return S3Coeffs(coeffs.a, *_channel(axis, coeffs.b, coeffs.c, coeffs.d))
 
 
@@ -316,7 +326,7 @@ def pure_concurrence(t: float) -> float:
 
     Evaluated in 1/t for |t| > 1, which stays accurate where the
     coefficient representation saturates (b indistinguishable from -1/2).
-    NaN raises the ``ValueError`` that ``t_param`` raises.
+    NaN raises the ``PreconditionViolated`` that ``t_param`` raises.
     """
     return _pure_point(t)[3]
 
@@ -341,11 +351,11 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     Independent of the channel pipeline; used to cross-check ``gain``.
     Values at ``t = +-inf`` (and |t| beyond overflow range) are the limits
     0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively. NaN raises the
-    ``ValueError`` that ``gain`` raises.
+    ``PreconditionViolated`` that ``gain`` raises.
     """
     if not abs(t) <= 1e150:
         if math.isnan(t):
-            raise ValueError(_NOT_FINITE)
+            reject_non_finite((t,))
         return {
             MeasurementAxis.H1: 0.0,
             MeasurementAxis.H2: 1.0 / math.sqrt(2.0),
@@ -366,8 +376,10 @@ def t_grid(n: int) -> np.ndarray:
     with ``math.tan``, so the values equal the scalar loop's bit for bit
     (``np.tan`` differs from it in the last place on some grid points).
     Raises ``PreconditionViolated`` for ``n < 1``, with the shortfall
-    ``1 - n`` as its violation.
+    ``1 - n`` as its violation, and ``TypeError`` for an ``n`` that is not an
+    integer (``operator.index``), NaN included.
     """
+    n = operator.index(n)
     if n < 1:
         raise PreconditionViolated(
             f"grid needs at least one point, got {n}", violation=float(1 - n)
@@ -378,10 +390,8 @@ def t_grid(n: int) -> np.ndarray:
 
 def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     # Where S3Coeffs(1, b, c, d) or the window check of the scalar route raises.
-    # A non-finite coefficient makes the normalization defect non-finite.
-    dev = np.abs(1.0 + b + c + d - 0.5)
-    q = b * c + b * d + c * d
-    return ~((dev <= NORM_TOL) & (q >= -WINDOW_TOL) & (q <= WINDOW_MAX + WINDOW_TOL))
+    dev = _norm_defect(1.0 + b + c + d)
+    return ~((dev <= COEFF_TOL) & _in_window(b * c + b * d + c * d))
 
 
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -497,12 +507,12 @@ def ie_checks() -> Report:
     """
     state = ie_state()
     rho = assemble_s3(state)
-    checks: list[CheckResult] = []
-
     q_dev = abs(pair_sum(state) - WINDOW_MAX)
-    checks.append(CheckResult("pair sum on window boundary 1/12", q_dev <= 1e-12, q_dev))
     c_dev = abs(concurrence_closed(state) - 2.0 / 3.0)
-    checks.append(CheckResult("closed-form concurrence = 2/3", c_dev <= 1e-12, c_dev))
+    checks = [
+        CheckResult("pair sum on window boundary 1/12", q_dev <= COEFF_TOL, q_dev),
+        CheckResult("closed-form concurrence = 2/3", c_dev <= COEFF_TOL, c_dev),
+    ]
     for axis in MeasurementAxis:
         fixed = measure_update(state, axis) == state
         checks.append(CheckResult(f"fixed point of {axis.value} channel", fixed))
@@ -524,7 +534,7 @@ def ie_reach(cc: float, dd: float) -> S3Coeffs:
     coefficient.
     """
     sum_dev = abs(cc + dd + 1.0 / 3.0)
-    if sum_dev > NORM_TOL:
+    if sum_dev > COEFF_TOL:
         raise PreconditionViolated(
             f"cc + dd differs from -1/3 by {sum_dev:.3e}", violation=sum_dev
         )
@@ -536,21 +546,3 @@ def ie_reach(cc: float, dd: float) -> S3Coeffs:
             violation=float(-w[0]),
         )
     return measure_update(initial, MeasurementAxis.H1)
-
-
-_DISK_RADIUS = math.sqrt(1.0 / 6.0)
-_CENTER = np.array([-1.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0])
-_PLANE_U = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_PLANE_V = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-
-
-def random_coeffs(rng: np.random.Generator) -> S3Coeffs:
-    """Draw a valid unit-``a`` state uniformly.
-
-    The valid set is a disk in the normalization plane, centered on the
-    fully symmetric state with the pure states on its boundary circle.
-    """
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    rad = _DISK_RADIUS * math.sqrt(rng.uniform())
-    b, c, d = _CENTER + rad * (math.cos(phi) * _PLANE_U + math.sin(phi) * _PLANE_V)
-    return S3Coeffs(1.0, float(b), float(c), float(d))

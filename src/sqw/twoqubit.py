@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, PreconditionViolated, TraceNotOne
-from .linalg import Mat4, herm_eigen
-
-#: The tolerances of ``validate_density``, beside ``herm_eigen``'s ``HERMITIAN_TOL``.
-TRACE_TOL = 1e-10
-EIGEN_TOL = 1e-9
+from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Y.setflags(write=False)
@@ -104,7 +100,12 @@ def spin_flip(rho) -> Mat4:
 
 
 def entanglement_of_formation(concurrence: float) -> float:
-    """Binary-entropy function of the concurrence, in bits, clamped to [0, 1]."""
+    """Binary-entropy function of the concurrence, in bits, clamped to [0, 1].
+
+    A NaN or infinite concurrence raises ``PreconditionViolated``.
+    """
+    if not math.isfinite(concurrence):
+        reject_non_finite((concurrence,), "concurrence")
     c = min(max(concurrence, 0.0), 1.0)
     x = (1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0
     e = 0.0

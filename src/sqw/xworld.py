@@ -15,15 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotPSD
-from .linalg import PURE_TOL, UNIT, locked
+from .errors import NotPSD, reject_non_finite
+from .linalg import COEFF_TOL, PURE_TOL, UNIT, locked
 from .report import Report, exact
 from .twoqubit import DensityMatrix, validate_density
 
 #: Positions that must vanish for an X-patterned matrix (row, col).
 OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
-
-_WINDOW_TOL = 1e-12
 
 E = locked(np.diag([1, -1, -1, 1]))
 
@@ -52,8 +50,8 @@ class XCoeffs:
 
     def __post_init__(self):
         vals = (self.e, *self.p, *self.s)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficients must be finite")
+        if not all(map(math.isfinite, vals)):
+            reject_non_finite(vals)
 
     @property
     def p_norm(self) -> float:
@@ -113,7 +111,7 @@ def _ball_norms(coeffs: XCoeffs) -> tuple[float, float]:
     """
     pn, sn = coeffs.p_norm, coeffs.s_norm
     overshoot = max(pn - (1 + coeffs.e), sn - (1 - coeffs.e))
-    if overshoot > _WINDOW_TOL:
+    if overshoot > COEFF_TOL:
         raise NotPSD(
             f"coefficients exceed the positivity ball by {overshoot:.3e}",
             violation=float(overshoot),
@@ -156,20 +154,3 @@ def classify_pure_x(coeffs: XCoeffs) -> PureXClass:
     if abs(e + 1) <= PURE_TOL and abs(sn - 2) <= PURE_TOL and pn <= PURE_TOL:
         return PureXClass.CLASS2
     return PureXClass.NOT_PURE
-
-
-def random_coeffs(rng: np.random.Generator) -> XCoeffs:
-    """Draw coefficients uniformly inside the positivity region.
-
-    ``e`` is uniform on [-1, 1]; P and S are uniform in balls of radius
-    1 + e and 1 - e, so the closed-form spectrum is nonnegative.
-    """
-
-    def ball(radius: float) -> tuple[float, float, float]:
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        v *= radius * rng.uniform() ** (1 / 3)
-        return (float(v[0]), float(v[1]), float(v[2]))
-
-    e = float(rng.uniform(-1, 1))
-    return XCoeffs(e=e, p=ball(1 + e), s=ball(1 - e))

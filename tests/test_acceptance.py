@@ -18,6 +18,8 @@ from sqw import permworld, s3world, twoqubit, xworld
 from sqw.linalg import herm_eigen
 from sqw.s3world import MeasurementAxis
 
+from draws import random_s3_coeffs, random_x_coeffs
+
 AXES = tuple(MeasurementAxis)
 
 
@@ -55,12 +57,12 @@ def test_criterion_2_spectrum_equivalence():
     rng = np.random.default_rng(20240601)
     dev_s3 = 0.0
     for _ in range(10_000):
-        coeffs = s3world.random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         w, _ = herm_eigen(s3world.assemble_s3(coeffs))
         dev_s3 = max(dev_s3, float(np.abs(w - s3world.s3_spectrum(coeffs)).max()))
     dev_x = 0.0
     for _ in range(10_000):
-        coeffs = xworld.random_coeffs(rng)
+        coeffs = random_x_coeffs(rng)
         w, _ = herm_eigen(xworld.assemble_x(coeffs).m)
         dev_x = max(dev_x, float(np.abs(w - np.array(xworld.x_spectrum(coeffs))).max()))
     elapsed = time.perf_counter() - start
@@ -80,7 +82,7 @@ def test_criterion_3_concurrence_equivalence():
     rng = np.random.default_rng(20240602)
     dev_mixed = 0.0
     for _ in range(10_000):
-        coeffs = s3world.random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         closed = s3world.concurrence_closed(coeffs)
         oracle = twoqubit.concurrence_oracle(s3world.assemble_s3(coeffs)).concurrence
         dev_mixed = max(dev_mixed, abs(closed - oracle))
@@ -192,7 +194,7 @@ def test_criterion_8_channel_consistency():
     dev = 0.0
     idempotent = True
     for _ in range(10_000):
-        coeffs = s3world.random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         rho = s3world.assemble_s3(coeffs)
         for axis in AXES:
             once = s3world.measure_update(coeffs, axis)

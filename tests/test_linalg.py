@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,22 @@ def test_herm_eigen_deterministic():
     w1, v1 = linalg.herm_eigen(m)
     w2, v2 = linalg.herm_eigen(m)
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
+
+def test_only_linalg_binds_a_tolerance():
+    # One tolerance table: no other module assigns a *_TOL name or imports
+    # one from anywhere but linalg.
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                from_linalg = isinstance(node, ast.ImportFrom) and node.module == "linalg"
+                names = [] if from_linalg else [a.asname or a.name for a in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.endswith("_TOL")]
+    assert offenders == []

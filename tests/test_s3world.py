@@ -44,13 +44,15 @@ from sqw.s3world import (
     pair_sum,
     pure_concurrence,
     pure_vector,
-    random_coeffs,
     reduce_five_coeff,
     s3_spectrum,
     t_grid,
     t_param,
 )
 from sqw.twoqubit import concurrence_oracle
+from sqw.xworld import XCoeffs
+
+from draws import PLANE_U, PLANE_V, random_s3_coeffs
 
 AXES = tuple(MeasurementAxis)
 
@@ -154,7 +156,7 @@ def test_spectrum_examples():
 def test_spectrum_matches_numeric_and_kernel_vectors():
     rng = np.random.default_rng(67)
     for _ in range(1000):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         rho = assemble_s3(coeffs)
         w, _ = herm_eigen(rho)
         np.testing.assert_allclose(w, s3_spectrum(coeffs), atol=1e-10)
@@ -165,7 +167,7 @@ def test_spectrum_matches_numeric_and_kernel_vectors():
 def test_spectrum_root_identities():
     rng = np.random.default_rng(71)
     for _ in range(500):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         _, _, mu2, mu1 = s3_spectrum(coeffs)
         assert mu1 + mu2 == pytest.approx(1.0, abs=1e-14)
         assert mu1 * mu2 == pytest.approx(3 * pair_sum(coeffs), abs=1e-12)
@@ -239,10 +241,6 @@ def _assert_valid_spectrum(coeffs):
 
 # On the unit-a plane the pair sum is 1/12 - rho^2 / 2, with rho the distance
 # from the symmetric state: 0 on the pure circle and 1/12 at its centre.
-_PLANE_U = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_PLANE_V = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     target=st.sampled_from([0.0, 1.0 / 12.0]),
@@ -253,7 +251,7 @@ def test_pair_sum_at_the_window_edges(target, offset, phi):
     # No point of the plane has a pair sum above 1/12; 0 may be missed either way.
     q = target - abs(offset) if target else offset
     rho = math.sqrt(2.0 * (1.0 / 12.0 - q))
-    b, c, d = -1 / 6 + rho * (math.cos(phi) * _PLANE_U + math.sin(phi) * _PLANE_V)
+    b, c, d = -1 / 6 + rho * (math.cos(phi) * PLANE_U + math.sin(phi) * PLANE_V)
     coeffs = S3Coeffs(1.0, float(b), float(c), float(d))
     assert abs(pair_sum(coeffs) - target) <= 1e-15
     _assert_valid_spectrum(coeffs)
@@ -282,14 +280,22 @@ def test_subnormal_coefficients_pass_the_checks(x, y, z, slot):
 
 @pytest.mark.parametrize("axis", AXES)
 def test_every_parameter_formula_rejects_nan(axis):
-    for call in (
-        t_param,
-        pure_concurrence,
-        lambda t: gain(axis, t),
-        lambda t: gain_closed_form(axis, t),
+    # Every non-finite entry point; the violation counts the non-finite inputs.
+    nan, inf = math.nan, math.inf
+    for call, args, count in (
+        (t_param, (nan,), 1),
+        (pure_concurrence, (nan,), 1),
+        (lambda t: gain(axis, t), (nan,), 1),
+        (lambda t: gain_closed_form(axis, t), (nan,), 1),
+        (pure_vector, (nan,), 1),
+        (S3Coeffs, (nan, 0.0, inf, -inf), 3),
+        (lambda e, *v: XCoeffs(e, v[:3], v[3:]), (0.0, nan, 0.0, 0.0, inf, 0.0, nan), 3),
+        (ie_reach, (nan, 0.0), 1),
+        (reduce_five_coeff, (nan, 0.0, 0.0, inf, 0.0), 2),
     ):
-        with pytest.raises(ValueError, match="^coefficients must be finite$"):
-            call(math.nan)
+        with pytest.raises(PreconditionViolated, match="^coefficients must be finite$") as err:
+            call(*args)
+        assert err.value.violation == count
 
 
 def test_pure_vector_matches_rational_form():
@@ -344,7 +350,7 @@ def test_mean_values_examples():
 def test_mean_values_formulas_and_casimir():
     rng = np.random.default_rng(73)
     for _ in range(500):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         mv = mean_values(coeffs)
         b, c, d = coeffs.b, coeffs.c, coeffs.d
         assert mv.a1 == pytest.approx(c + d + 4 * b, abs=1e-12)
@@ -375,7 +381,7 @@ def test_oracle_equals_min_rule_on_mixed_states():
     # on the pure circle the two coincide.
     rng = np.random.default_rng(79)
     for _ in range(1000):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         oracle = concurrence_oracle(assemble_s3(coeffs)).concurrence
         root = math.sqrt(max((0.5 + coeffs.b) * (0.5 + coeffs.c), 0.0))
         assert abs(oracle - 2 * min(abs(coeffs.d), root)) <= 1e-9
@@ -384,7 +390,7 @@ def test_oracle_equals_min_rule_on_mixed_states():
 def test_oracle_omegas_follow_root_formula():
     rng = np.random.default_rng(83)
     for _ in range(300):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         rep = concurrence_oracle(assemble_s3(coeffs))
         root = math.sqrt(max((0.5 + coeffs.b) * (0.5 + coeffs.c), 0.0))
         expected = sorted(
@@ -410,7 +416,7 @@ def test_measure_update_rejects_invalid_state():
 def test_measure_update_matches_matrix_channel():
     rng = np.random.default_rng(89)
     for _ in range(1000):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         rho = assemble_s3(coeffs)
         for axis in AXES:
             lhs = assemble_s3(measure_update(coeffs, axis))
@@ -421,7 +427,7 @@ def test_measure_update_matches_matrix_channel():
 def test_measure_update_idempotent_exactly():
     rng = np.random.default_rng(97)
     for _ in range(300):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         for axis in AXES:
             once = measure_update(coeffs, axis)
             assert measure_update(once, axis) == once
@@ -584,8 +590,11 @@ def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
     # memo would hand the float the integer's result.
     maximize_gain.cache_clear()
     for _ in range(2):
-        with pytest.raises(TypeError):
-            maximize_gain(MeasurementAxis.H1, 10000.0)
+        for bad in (10000.0, math.nan):
+            with pytest.raises(TypeError):
+                t_grid(bad)
+            with pytest.raises(TypeError):
+                maximize_gain(MeasurementAxis.H1, bad)
         maximize_gain(MeasurementAxis.H1, n)
 
 
@@ -628,7 +637,7 @@ def test_ie_reach():
 def test_random_coeffs_valid():
     rng = np.random.default_rng(103)
     for _ in range(1000):
-        coeffs = random_coeffs(rng)
+        coeffs = random_s3_coeffs(rng)
         assert coeffs.a == 1.0
         q = pair_sum(coeffs)
         assert -1e-12 <= q <= 1 / 12 + 1e-12
@@ -639,3 +648,12 @@ def test_unit_a_required():
     for op in (s3_spectrum, is_pure, mean_values, concurrence_closed):
         with pytest.raises(PreconditionViolated):
             op(mixed)
+
+
+def test_window_required():
+    # A non-state on the unit-a plane, bc + bd + cd = -1; R would read 22.5.
+    outside = S3Coeffs(1.0, 1.0, -1.0, -0.5)
+    for op in (s3_spectrum, is_pure, mean_values, concurrence_closed):
+        with pytest.raises(OutsideValidityWindow) as err:
+            op(outside)
+        assert err.value.violation == 1.0

@@ -13,6 +13,8 @@ from sqw.twoqubit import (
     validate_density,
 )
 
+from draws import random_s3_coeffs, random_x_coeffs
+
 BELL = np.zeros(4, dtype=complex)
 BELL[0] = BELL[3] = 1 / np.sqrt(2)
 
@@ -284,7 +286,7 @@ def _circle_ts(seed):
 
 def test_oracle_matches_swap_min_form_on_whole_disk():
     rng = np.random.default_rng(59)
-    coeffs = [s3world.random_coeffs(rng) for _ in range(2000)]
+    coeffs = [random_s3_coeffs(rng) for _ in range(2000)]
     coeffs += [s3world.t_param(t) for t in _circle_ts(53)]
     coeffs.append(s3world.ie_state())
     dev = max(
@@ -316,7 +318,7 @@ def test_oracle_matches_yu_eberly_on_x_states():
     rng = np.random.default_rng(61)
     dev = 0.0
     for _ in range(2000):
-        dm = xworld.assemble_x(xworld.random_coeffs(rng))
+        dm = xworld.assemble_x(random_x_coeffs(rng))
         dev = max(dev, abs(concurrence_oracle(dm).concurrence - _yu_eberly(dm.m)))
     assert dev <= ORACLE_TOL
 
@@ -326,6 +328,13 @@ def test_oracle_matches_yu_eberly_on_x_states():
 def test_eof_endpoints():
     assert entanglement_of_formation(0.0) == 0.0
     assert entanglement_of_formation(1.0) == 1.0
+
+
+@pytest.mark.parametrize("c", (math.nan, math.inf, -math.inf))
+def test_eof_rejects_a_non_finite_concurrence(c):
+    with pytest.raises(PreconditionViolated, match="^concurrence must be finite$") as err:
+        entanglement_of_formation(c)
+    assert err.value.violation == 1
 
 
 def test_eof_strictly_increasing_in_concurrence():

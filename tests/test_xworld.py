@@ -15,9 +15,10 @@ from sqw.xworld import (
     assemble_x,
     check_x_relations,
     classify_pure_x,
-    random_coeffs,
     x_spectrum,
 )
+
+from draws import random_x_coeffs
 
 ZERO3 = (0.0, 0.0, 0.0)
 
@@ -74,7 +75,7 @@ def test_x_spectrum_rejects_what_assemble_rejects():
 def test_x_pattern_zeros_exact():
     rng = np.random.default_rng(43)
     for _ in range(200):
-        m = assemble_x(random_coeffs(rng)).m
+        m = assemble_x(random_x_coeffs(rng)).m
         for i, j in OFF_PATTERN:
             assert m[i, j] == 0
 
@@ -89,7 +90,7 @@ def test_spectrum_examples():
 def test_spectrum_matches_numeric_eigenvalues():
     rng = np.random.default_rng(47)
     for _ in range(2000):
-        coeffs = random_coeffs(rng)
+        coeffs = random_x_coeffs(rng)
         w, _ = herm_eigen(assemble_x(coeffs).m)
         np.testing.assert_allclose(w, x_spectrum(coeffs), atol=1e-10)
 
@@ -102,7 +103,7 @@ def test_classification_examples():
 
 def test_classification_equivalent_to_unit_purity():
     rng = np.random.default_rng(53)
-    samples = [random_coeffs(rng) for _ in range(500)]
+    samples = [random_x_coeffs(rng) for _ in range(500)]
     samples.append(XCoeffs(1.0, (0.0, 2.0, 0.0), ZERO3))
     samples.append(XCoeffs(-1.0, ZERO3, (0.0, 0.0, -2.0)))
     for coeffs in samples:
@@ -114,7 +115,7 @@ def test_classification_equivalent_to_unit_purity():
 def test_random_coeffs_stay_in_positivity_region():
     rng = np.random.default_rng(59)
     for _ in range(500):
-        coeffs = random_coeffs(rng)
+        coeffs = random_x_coeffs(rng)
         assert -1.0 <= coeffs.e <= 1.0
         assert coeffs.p_norm <= 1 + coeffs.e + 1e-12
         assert coeffs.s_norm <= 1 - coeffs.e + 1e-12
