@@ -289,6 +289,10 @@ def concurrence_closed(coeffs: S3Coeffs) -> float:
     return 2.0 * math.sqrt(max(prod, 0.0))
 
 
+def _not_an_axis(axis) -> TypeError:
+    return TypeError(f"axis must be a MeasurementAxis, got {axis!r}")
+
+
 def _channel(axis: MeasurementAxis, b, c, d):
     # (b, c, d) -> (b', c', d') of measure_update, on floats or arrays.
     if axis is MeasurementAxis.H1:
@@ -297,8 +301,10 @@ def _channel(axis: MeasurementAxis, b, c, d):
     if axis is MeasurementAxis.H2:
         half = (b + d) / 2.0
         return half, c, half
-    half = (b + c) / 2.0
-    return half, half, d
+    if axis is MeasurementAxis.H3:
+        half = (b + c) / 2.0
+        return half, half, d
+    raise _not_an_axis(axis)
 
 
 def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
@@ -356,17 +362,22 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     if not abs(t) <= 1e150:
         if math.isnan(t):
             reject_non_finite((t,))
-        return {
+        limit = {
             MeasurementAxis.H1: 0.0,
             MeasurementAxis.H2: 1.0 / math.sqrt(2.0),
             MeasurementAxis.H3: 0.5,
-        }[axis]
+        }.get(axis)
+        if limit is None:
+            raise _not_an_axis(axis)
+        return limit
     den = 1.0 + t + t * t
     if axis is MeasurementAxis.H1:
         return (math.sqrt((1.0 + 2.0 * t + 2.0 * t * t) / 2.0) - abs(t)) / den
     if axis is MeasurementAxis.H2:
         return abs(t) / den * (math.sqrt((2.0 + 2.0 * t + t * t) / 2.0) - 1.0)
-    return (1.0 + t * t - 2.0 * abs(t)) / (2.0 * den)
+    if axis is MeasurementAxis.H3:
+        return (1.0 + t * t - 2.0 * abs(t)) / (2.0 * den)
+    raise _not_an_axis(axis)
 
 
 def t_grid(n: int) -> np.ndarray:
@@ -414,7 +425,7 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
         (big, _circle_point_inv, 1.0 / ts[big]),
         (~big, _circle_point, ts[~big]),
     ):
-        if x.size:  # a zoom round lies on one side of |t| = 1
+        if x.size:  # ts may lie on one side of |t| = 1, e.g. t_grid(1)
             for row, value in zip(point, point_at(x)):
                 row[mask] = value
     after = _channel(axis, b, c, d)
@@ -429,66 +440,29 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     return c_before, c_after
 
 
-#: The evenly spaced angles of a ``maximize_gain`` zoom round, as fractions
-#: of its bracket.
-_ZOOM_FRACTIONS = np.linspace(0.0, 1.0, 64)
+#: Points of ``maximize_gain``'s grid. Even, so t = 0 is grid point n/2, and
+#: k = n is t = inf: the maxima of all three axes lie on those two points.
+_GRID_POINTS = 10_000
 
 
-def _candidate_key(value: float, t: float) -> tuple[float, int, float]:
-    # Rank by gain; on exact ties prefer finite t, then the smallest |t|.
-    if math.isfinite(t):
-        return (value, 1, -abs(t))
-    return (value, 0, -math.inf)
-
-
-def _winner(axis: MeasurementAxis, ts: np.ndarray) -> tuple[int, float, float]:
-    """Index, t and gain of the best point of ``ts`` by ``_candidate_key``.
-
-    The first of equal keys, as a scan keeping strict improvements picks.
-    """
-    c_before, c_after = gain_curve(axis, ts)
-    deltas = c_after - c_before
-    best_val = float(deltas.max())
-    i = max(
-        np.flatnonzero(deltas == best_val).tolist(),
-        key=lambda j: _candidate_key(best_val, float(ts[j])),
-    )
-    return i, float(ts[i]), float(deltas[i])
-
-
-# Typed, so 10000.0 still raises after a call with np.int64(10000), an equal key.
-@lru_cache(typed=True)
-def maximize_gain(axis: MeasurementAxis, grid_points: int = 10_000) -> GainResult:
+@lru_cache
+def maximize_gain(axis: MeasurementAxis) -> GainResult:
     """Maximize the measurement gain over all pure states.
 
-    The real line plus the point at infinity is swept through the compact
-    angle theta in (-pi/2, pi/2] with t = tan(theta), infinite from pi/2 on.
-    A grid pass over ``t_grid(grid_points)`` picks the best point; zoom
-    rounds then evaluate 64 evenly spaced angles across the bracket of its
-    two neighbours and narrow it to the neighbours of each round's best,
-    until the bracket is below 1e-10 in t (or 1e-12 in theta, which bounds
-    the work when it touches the infinite endpoint). Every point is
-    evaluated through ``gain_curve``; ``gain`` is called once, for the
-    returned winner. Exact ties resolve to finite t over infinity, then
-    to the smallest |t|, then to the earlier point. Raises
-    ``PreconditionViolated`` for ``grid_points < 1``. The result is
-    deterministic in ``(axis, grid_points)`` and frozen, so it is memoized:
-    a repeat call returns the same object and builds no grid.
+    One ``gain_curve`` pass over ``t_grid(10_000)``, which covers the real
+    line plus the point at infinity, picks the best point; ``gain`` is called
+    once, for that winner. Exact ties resolve to finite t over infinity, then
+    to the smallest |t|, then to the earlier point. The result is
+    deterministic in ``axis`` and frozen, so it is memoized: a repeat call
+    returns the same object and builds no grid.
     """
-    n = grid_points
-    k, best_t, best_val = _winner(axis, t_grid(n))
-    lo = k / n * math.pi - math.pi / 2 if k > 0 else -math.pi / 2 + math.pi / n / 2
-    hi = (k + 2) / n * math.pi - math.pi / 2 if k < n - 1 else math.pi / 2
-    while hi - lo > 1e-12 and (
-        hi >= math.pi / 2 or math.tan(hi) - math.tan(lo) > 1e-10
-    ):
-        thetas = lo + (hi - lo) * _ZOOM_FRACTIONS
-        thetas[-1] = hi  # exactly, so pi/2 still maps to infinity
-        ts = np.where(thetas < math.pi / 2, np.tan(thetas), math.inf)
-        j, t, val = _winner(axis, ts)
-        if _candidate_key(val, t) > _candidate_key(best_val, best_t):
-            best_t, best_val = t, val
-        lo, hi = thetas[max(j - 1, 0)], thetas[min(j + 1, len(thetas) - 1)]
+    ts = t_grid(_GRID_POINTS)
+    c_before, c_after = gain_curve(axis, ts)
+    deltas = c_after - c_before
+    # max keeps the first of equal keys: finite t, then the smallest |t|.
+    best_t = max(
+        ts[deltas == deltas.max()].tolist(), key=lambda t: (math.isfinite(t), -abs(t))
+    )
     return gain(axis, best_t)
 
 

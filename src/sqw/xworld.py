@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotPSD, reject_non_finite
+from .errors import NotPSD, PreconditionViolated, reject_non_finite
 from .linalg import COEFF_TOL, PURE_TOL, UNIT, locked
 from .report import Report, exact
 from .twoqubit import DensityMatrix, validate_density
@@ -49,6 +49,12 @@ class XCoeffs:
     s: tuple[float, float, float]
 
     def __post_init__(self):
+        gap = abs(len(self.p) - 3) + abs(len(self.s) - 3)
+        if gap:
+            raise PreconditionViolated(
+                f"p and s must have 3 entries each, got {len(self.p)} and {len(self.s)}",
+                violation=float(gap),
+            )
         vals = (self.e, *self.p, *self.s)
         if not all(map(math.isfinite, vals)):
             reject_non_finite(vals)

@@ -284,6 +284,31 @@ def test_check_matches_golden_bytes(capsys, world, fmt):
     assert out.encode() == (GOLDEN / f"check_{world}.{fmt}").read_bytes()
 
 
+STATE_GOLDENS = {
+    "ie": ["--ie"],
+    "t0": ["--t", "0"],
+    "tinf": ["--t", "inf"],
+    "coeffs": ["--b", "-0.25", "--c", "-0.25", "--d", "0"],
+    "a_half": ["--a", "0.5", "--b", "0", "--c", "0", "--d", "0"],
+}
+
+
+@pytest.mark.parametrize("name", STATE_GOLDENS)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_state_matches_golden_bytes(capsys, name, fmt):
+    code, out, _ = run(capsys, "state", *STATE_GOLDENS[name], "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"state_{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_measure_matches_golden_bytes(capsys, axis, fmt):
+    code, out, _ = run(capsys, "measure", "--axis", axis, "--t", "0", "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"measure_{axis}_t0.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
 @pytest.mark.parametrize("points", [2, 3, 7, 101])
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -23,8 +23,6 @@ from sqw.s3world import (
     H3,
     KERNEL_VECTORS,
     UNIT,
-    _candidate_key,
-    _winner,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
@@ -484,11 +482,10 @@ def test_t_grid_equals_scalar_loop(n):
 
 
 @pytest.mark.parametrize("n", (0, -3))
-def test_t_grid_and_maximize_gain_reject_empty_grid(n):
-    for call in (lambda: t_grid(n), lambda: maximize_gain(MeasurementAxis.H1, n)):
-        with pytest.raises(PreconditionViolated) as err:
-            call()
-        assert err.value.violation == 1 - n
+def test_t_grid_rejects_empty_grid(n):
+    with pytest.raises(PreconditionViolated) as err:
+        t_grid(n)
+    assert err.value.violation == 1 - n
 
 
 @pytest.mark.parametrize("n", GRID_SIZES)
@@ -511,27 +508,26 @@ def test_gain_curve_nan_raises_like_gain(axis):
     assert str(batch.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 101, 1001, 10000))
-def test_grid_winner_matches_scalar_scan(n):
-    for axis in AXES:
-        best_val, best_t, best_k = -math.inf, 0.0, 1
-        for k, t in enumerate(theta_grid(n), start=1):
-            v = gain(axis, t).delta_c
-            if _candidate_key(v, t) > _candidate_key(best_val, best_t):
-                best_val, best_t, best_k = v, t, k
-        i, t, v = _winner(axis, t_grid(n))
-        assert (i, bits([t, v])) == (best_k - 1, bits([best_t, best_val]))
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 5, 7, 101, 1001, 9999))
 @pytest.mark.parametrize("axis", AXES)
-def test_maximize_gain_off_default_grid(axis, n):
-    r = maximize_gain(axis, n)
-    exact = {"h1": 1 / math.sqrt(2), "h2": 1 / math.sqrt(2), "h3": 0.5}[axis.value]
-    assert abs(r.delta_c - exact) <= 1e-10
-    at_zero, at_inf = abs(r.t_star) <= 1e-10, math.isinf(r.t_star)
-    assert {"h1": at_zero, "h2": at_inf, "h3": at_zero or at_inf}[axis.value]
-    assert bits(astuple(r)) == bits(astuple(gain(axis, r.t_star)))
+def test_grid_winner_matches_scalar_scan(axis):
+    # Tie rule: on equal gains, finite t beats infinity, then the smallest |t|
+    # wins, then the earlier point (a scan keeping strict improvements).
+    best_key, best_t = None, None
+    for t in theta_grid(10_000):
+        key = (gain(axis, t).delta_c, math.isfinite(t), -abs(t))
+        if best_key is None or key > best_key:
+            best_key, best_t = key, t
+    assert bits(astuple(maximize_gain(axis))) == bits(astuple(gain(axis, best_t)))
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_no_off_grid_point_beats_maximize_gain(axis):
+    # Odd grids miss t = 0, so no point here lies on maximize_gain's grid
+    # except t = inf.
+    best = maximize_gain(axis).delta_c
+    c_before, c_after = gain_curve(axis, t_grid(100_001))
+    assert (c_after - c_before).max() <= best + 1e-12
+    assert max(gain_closed_form(axis, t) for t in theta_grid(2_001)) <= best + 1e-12
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -548,54 +544,59 @@ def test_maximize_gain_calls_gain_once(axis, monkeypatch):
     assert len(calls) == 1
 
 
-MEMO_GRIDS = (1, 2, 3, 7, 101, 1001, 9999, 10000)
 MEMO_AXES = (MeasurementAxis.H1, MeasurementAxis.H2, MeasurementAxis.H1, MeasurementAxis.H3)
 
 
 def test_maximize_gain_repeats_its_first_call_bits():
     maximize_gain.cache_clear()
-    passes = [
-        [bits(astuple(maximize_gain(axis, n))) for n in MEMO_GRIDS for axis in MEMO_AXES]
-        for _ in range(3)
-    ]
+    passes = [[bits(astuple(maximize_gain(axis))) for axis in MEMO_AXES] for _ in range(3)]
     assert passes[1] == passes[0] and passes[2] == passes[0]
     info = maximize_gain.cache_info()
-    # One search per distinct (axis, grid); H1 repeats within a pass.
-    keys = len(MEMO_GRIDS) * len(set(MEMO_AXES))
-    assert (info.misses, info.currsize) == (keys, keys)
-    assert info.hits == 3 * len(MEMO_GRIDS) * len(MEMO_AXES) - keys
+    # One search per distinct axis; H1 repeats within a pass.
+    assert (info.misses, info.currsize) == (3, 3)
+    assert info.hits == 3 * len(MEMO_AXES) - 3
 
 
 def test_a_repeat_call_returns_the_same_result_object():
     maximize_gain.cache_clear()
-    first = maximize_gain(MeasurementAxis.H2, 101)
-    assert maximize_gain(MeasurementAxis.H2, 101) is first
-    assert maximize_gain(MeasurementAxis.H3, 101) is not first
+    first = maximize_gain(MeasurementAxis.H2)
+    assert maximize_gain(MeasurementAxis.H2) is first
+    assert maximize_gain(MeasurementAxis.H3) is not first
 
 
 @pytest.mark.parametrize("n", (7, 10000))
 def test_mutating_a_t_grid_leaves_maximize_gain(n):
-    expected = [bits(astuple(maximize_gain(axis, n))) for axis in AXES]
+    expected = [bits(astuple(maximize_gain(axis))) for axis in AXES]
     for cold in (False, True):
         if cold:
             maximize_gain.cache_clear()
         ours = t_grid(n)
         ours.fill(math.nan)
-        assert [bits(astuple(maximize_gain(axis, n))) for axis in AXES] == expected
+        assert [bits(astuple(maximize_gain(axis))) for axis in AXES] == expected
 
 
 @pytest.mark.parametrize("n", (10000, np.int64(10000)))
-def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
-    # np.int64(10000) and 10000.0 are equal and hash alike, so an untyped
-    # memo would hand the float the integer's result.
-    maximize_gain.cache_clear()
-    for _ in range(2):
-        for bad in (10000.0, math.nan):
-            with pytest.raises(TypeError):
-                t_grid(bad)
-            with pytest.raises(TypeError):
-                maximize_gain(MeasurementAxis.H1, bad)
-        maximize_gain(MeasurementAxis.H1, n)
+def test_t_grid_rejects_a_float_size(n):
+    # np.int64(10000) equals 10000.0, yet only the integer is a grid size.
+    assert len(t_grid(n)) == n
+    for bad in (float(n), math.nan):
+        with pytest.raises(TypeError):
+            t_grid(bad)
+
+
+def test_a_non_axis_raises_type_error():
+    # Unchecked, a string reaches the H3 branch and gets H3's numbers.
+    calls = (
+        lambda: measure_update(t_param(0.0), "h1"),
+        lambda: gain("h1", 0.0),
+        lambda: gain_curve("h1", [0.0, math.inf]),
+        lambda: gain_closed_form("h1", 0.0),
+        lambda: gain_closed_form("h1", math.inf),
+        lambda: maximize_gain("h1"),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="must be a MeasurementAxis"):
+            call()
 
 
 # ---- the irreducible entangled state ----

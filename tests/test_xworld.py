@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqw.errors import NotPSD
+from sqw.errors import NotPSD, PreconditionViolated
 from sqw.linalg import herm_eigen
 from sqw.twoqubit import purity
 from sqw.xworld import (
@@ -124,3 +124,24 @@ def test_random_coeffs_stay_in_positivity_region():
 def test_coeffs_reject_non_finite():
     with pytest.raises(ValueError):
         XCoeffs(float("nan"), ZERO3, ZERO3)
+
+
+@pytest.mark.parametrize(
+    "p, s, gap",
+    [
+        ((0.5, 0.0), ZERO3, 1.0),
+        ((0.5, 0.0, 0.0, 0.3), ZERO3, 1.0),
+        (ZERO3, (0.5, 0.0), 1.0),
+        (ZERO3, (0.5, 0.0, 0.0, 0.3), 1.0),
+        ((0.0,), (0.0,) * 5, 4.0),
+    ],
+    ids=["p2", "p4", "s2", "s4", "p1-s5"],
+)
+def test_coeffs_reject_a_vector_not_of_length_three(p, s, gap):
+    # Unchecked, a 2-vector makes assemble_x raise IndexError and a 4-vector
+    # makes x_spectrum count an entry that assemble_x drops. The length is
+    # checked before finiteness.
+    for e in (0.0, float("nan")):
+        with pytest.raises(PreconditionViolated) as err:
+            XCoeffs(e, p, s)
+        assert err.value.violation == gap
