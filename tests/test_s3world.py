@@ -482,10 +482,13 @@ def test_t_grid_equals_scalar_loop(n):
 
 
 @pytest.mark.parametrize("n", (0, -3))
-def test_t_grid_rejects_empty_grid(n):
+def test_t_grid_and_maximize_gain_reject_empty_grid(n):
     with pytest.raises(PreconditionViolated) as err:
         t_grid(n)
     assert err.value.violation == 1 - n
+    # maximize_gain's grid is fixed: a grid size is no input at all.
+    with pytest.raises(TypeError):
+        maximize_gain(MeasurementAxis.H1, n)
 
 
 @pytest.mark.parametrize("n", GRID_SIZES)
@@ -508,16 +511,26 @@ def test_gain_curve_nan_raises_like_gain(axis):
     assert str(batch.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("axis", AXES)
-def test_grid_winner_matches_scalar_scan(axis):
+def _scan_winner(points):
     # Tie rule: on equal gains, finite t beats infinity, then the smallest |t|
     # wins, then the earlier point (a scan keeping strict improvements).
     best_key, best_t = None, None
-    for t in theta_grid(10_000):
-        key = (gain(axis, t).delta_c, math.isfinite(t), -abs(t))
+    for t, v in points:
+        key = (v, math.isfinite(t), -abs(t))
         if best_key is None or key > best_key:
             best_key, best_t = key, t
-    assert bits(astuple(maximize_gain(axis))) == bits(astuple(gain(axis, best_t)))
+    return best_t
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 101, 1001, 10000))
+def test_grid_winner_matches_scalar_scan(n):
+    for axis in AXES:
+        best_t = _scan_winner((t, gain(axis, t).delta_c) for t in theta_grid(n))
+        c_before, c_after = gain_curve(axis, t_grid(n))
+        grid_t = _scan_winner(zip(t_grid(n).tolist(), (c_after - c_before).tolist()))
+        assert bits([grid_t]) == bits([best_t])
+        if n == 10000:  # maximize_gain's grid
+            assert bits(astuple(maximize_gain(axis))) == bits(astuple(gain(axis, best_t)))
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -576,12 +589,18 @@ def test_mutating_a_t_grid_leaves_maximize_gain(n):
 
 
 @pytest.mark.parametrize("n", (10000, np.int64(10000)))
-def test_t_grid_rejects_a_float_size(n):
-    # np.int64(10000) equals 10000.0, yet only the integer is a grid size.
-    assert len(t_grid(n)) == n
-    for bad in (float(n), math.nan):
-        with pytest.raises(TypeError):
-            t_grid(bad)
+def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
+    # np.int64(10000) equals 10000.0, yet only the integer is a grid size;
+    # maximize_gain takes no grid size at all, with its memo cold or warm.
+    maximize_gain.cache_clear()
+    for _ in range(2):
+        assert len(t_grid(n)) == n
+        for bad in (float(n), math.nan):
+            with pytest.raises(TypeError):
+                t_grid(bad)
+            with pytest.raises(TypeError):
+                maximize_gain(MeasurementAxis.H1, bad)
+        maximize_gain(MeasurementAxis.H1)
 
 
 def test_a_non_axis_raises_type_error():
