@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 invalid state or failed verification, 2 usage
 error (including unwritable output paths and an unwritable standard output).
-Numbers in machine-readable output carry 12 significant digits; identical
-invocations produce byte-identical output.
+Each subcommand builds one payload of raw values; JSON, text and CSV are
+renderings of it, and each rounds numbers to 12 significant digits once.
+Identical invocations produce byte-identical output.
 ``twoqubit``, ``xworld`` and ``permworld`` are imported only by the
 subcommands that run them.
 """
@@ -11,6 +12,7 @@ subcommands that run them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,9 +58,47 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _sig(x: float) -> float:
-    """Round to 12 significant digits (stable under JSON round-trips)."""
-    return float(f"{float(x):.12g}")
+def _rounded(value):
+    """The JSON rule: floats to 12 significant digits, a non-finite one as text."""
+    if isinstance(value, float):
+        text = format(value, ".12g")
+        return float(text) if math.isfinite(value) else text
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def _text(value) -> str:
+    """The text rule for one value."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_text(item)}" for key, item in value.items())
+    if isinstance(value, list):
+        return " ".join(_text(item) for item in value)
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _text_lines(payload: dict, indent: str = "") -> list[str]:
+    """``key: value`` lines; a dict holding dicts or lists is an indented block."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict) and any(isinstance(v, (dict, list)) for v in value.values()):
+            lines.append(f"{indent}{key}:")
+            lines += _text_lines(value, indent + "  ")
+        else:
+            lines.append(f"{indent}{key}: {_text(value)}")
+    return lines
+
+
+def _print_payload(payload: dict, fmt: str):
+    print(json.dumps(_rounded(payload)) if fmt == "json" else "\n".join(_text_lines(payload)))
 
 
 def _state_report(coeffs: S3Coeffs) -> dict:
@@ -66,41 +106,16 @@ def _state_report(coeffs: S3Coeffs) -> dict:
 
     dm = validate_density(assemble_s3(coeffs))
     oracle = concurrence_oracle(dm)
-    if is_unit_a(coeffs):
-        pure = is_pure(coeffs)
-        criterion_r = _sig(mean_values(coeffs).r)
-        closed = _sig(concurrence_closed(coeffs))
-    else:
-        pure = abs(purity(dm) - 1.0) <= PURE_TOL
-        criterion_r = None
-        closed = None
+    unit_a = is_unit_a(coeffs)
     return {
-        "coeffs": {
-            "a": _sig(coeffs.a),
-            "b": _sig(coeffs.b),
-            "c": _sig(coeffs.c),
-            "d": _sig(coeffs.d),
-        },
-        "eigenvalues": [_sig(v) for v in dm.eigenvalues],
-        "pure": bool(pure),
-        "criterion_R": criterion_r,
-        "concurrence_closed": closed,
-        "concurrence_oracle": _sig(oracle.concurrence),
-        "eof": _sig(oracle.eof),
+        "coeffs": dataclasses.asdict(coeffs),
+        "eigenvalues": dm.eigenvalues.tolist(),
+        "pure": bool(is_pure(coeffs) if unit_a else abs(purity(dm) - 1.0) <= PURE_TOL),
+        "criterion_R": mean_values(coeffs).r if unit_a else None,
+        "concurrence_closed": concurrence_closed(coeffs) if unit_a else None,
+        "concurrence_oracle": oracle.concurrence,
+        "eof": oracle.eof,
     }
-
-
-def _print_state_text(report: dict, indent: str = ""):
-    co = report["coeffs"]
-    print(f"{indent}coeffs: a={co['a']:.12g} b={co['b']:.12g} "
-          f"c={co['c']:.12g} d={co['d']:.12g}")
-    eig = " ".join(f"{v:.12g}" for v in report["eigenvalues"])
-    print(f"{indent}eigenvalues: {eig}")
-    print(f"{indent}pure: {str(report['pure']).lower()}")
-    for key in ("criterion_R", "concurrence_closed", "concurrence_oracle", "eof"):
-        val = report[key]
-        text = "n/a" if val is None else f"{val:.12g}"
-        print(f"{indent}{key}: {text}")
 
 
 def _add_state_flags(parser: argparse.ArgumentParser):
@@ -133,17 +148,6 @@ def _coeffs_from_args(args) -> S3Coeffs:
     if not all(math.isfinite(v) for v in (a, args.b, args.c, args.d)):
         raise _UsageError("coefficients must be finite")
     return S3Coeffs(a, args.b, args.c, args.d)
-
-
-def _report_payload(world: str, report: Report, extra: dict | None = None) -> dict:
-    payload = {"world": world, "all_pass": report.all_pass}
-    if extra:
-        payload.update(extra)
-    payload["checks"] = [
-        {"name": c.name, "passed": c.passed, "deviation": _sig(c.deviation)}
-        for c in report
-    ]
-    return payload
 
 
 def _s4_report() -> tuple[Report, dict]:
@@ -180,31 +184,25 @@ def _cmd_check(args) -> int:
     if args.world == "x":
         from .xworld import check_x_relations
 
-        report, extra = check_x_relations(), None
+        report, extra = check_x_relations(), {}
     elif args.world == "s3":
-        report, extra = check_s3_relations(), None
+        report, extra = check_s3_relations(), {}
     else:
         report, extra = _s4_report()
     if args.format == "json":
-        print(json.dumps(_report_payload(args.world, report, extra)))
+        checks = [dataclasses.asdict(c) for c in report]
+        payload = {"world": args.world, "all_pass": report.all_pass, **extra, "checks": checks}
+        print(json.dumps(_rounded(payload)))
     else:
-        for c in report:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}")
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {value}")
+        lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}" for c in report]
         status = "all checks passed" if report.all_pass else "FAILURES PRESENT"
-        print(f"{args.world}: {status} ({len(report)} checks)")
+        lines += [*_text_lines(extra), f"{args.world}: {status} ({len(report)} checks)"]
+        print("\n".join(lines))
     return 0 if report.all_pass else 1
 
 
 def _cmd_state(args) -> int:
-    coeffs = _coeffs_from_args(args)
-    report = _state_report(coeffs)
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        _print_state_text(report)
+    _print_payload(_state_report(_coeffs_from_args(args)), args.format)
     return 0
 
 
@@ -212,68 +210,49 @@ def _cmd_measure(args) -> int:
     axis = MeasurementAxis(args.axis)
     before = _coeffs_from_args(args)
     after = measure_update(before, axis)
-    before_report = _state_report(before)
-    after_report = _state_report(after)
-    delta = _sig(concurrence_closed(after) - concurrence_closed(before))
-    if args.format == "json":
-        payload = {
-            "axis": axis.value,
-            "before": before_report,
-            "after": after_report,
-            "delta_c": delta,
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"axis: {axis.value}")
-        print("before:")
-        _print_state_text(before_report, indent="  ")
-        print("after:")
-        _print_state_text(after_report, indent="  ")
-        print(f"delta_c: {delta:.12g}")
+    payload = {
+        "axis": axis.value,
+        "before": _state_report(before),
+        "after": _state_report(after),
+        "delta_c": concurrence_closed(after) - concurrence_closed(before),
+    }
+    _print_payload(payload, args.format)
     return 0
 
 
-def _sweep_rows(axis: MeasurementAxis, points: int):
-    """``(t, c_before, c_after, delta_c)`` float rows over ``t_grid(points)``."""
+def _sweep_payload(axis: MeasurementAxis, points: int) -> dict:
+    """One record per point of ``t_grid(points)``, and the maximum gain."""
     ts = t_grid(points)
     c_before, c_after = gain_curve(axis, ts)
     columns = (ts, c_before, c_after, c_after - c_before)
-    return zip(*(col.tolist() for col in columns))
-
-
-def _sweep_record(t: float, c_before: float, c_after: float, delta_c: float) -> dict:
+    best = maximize_gain(axis)
     return {
-        "t": "inf" if math.isinf(t) else _sig(t),
-        "c_before": _sig(c_before),
-        "c_after": _sig(c_after),
-        "delta_c": _sig(delta_c),
+        "axis": axis.value,
+        # A dict literal a row: dict(zip(...)) takes about three times as long.
+        "records": [
+            {"t": t, "c_before": before, "c_after": after, "delta_c": delta}
+            for t, before, after, delta in zip(*(c.tolist() for c in columns))
+        ],
+        "max": dict(t=best.t_star, c_before=best.c_before, c_after=best.c_after,
+                    delta_c=best.delta_c),
     }
+
+
+def _sweep_csv(payload: dict) -> str:
+    """A header of the record keys, one row per record, then the ``# max`` line."""
+    # One f-string a row: a per-value join takes about a third longer.
+    rows = [
+        f"{r['t']:.12g},{r['c_before']:.12g},{r['c_after']:.12g},{r['delta_c']:.12g}"
+        for r in payload["records"]
+    ]
+    return "\n".join([",".join(payload["max"]), *rows, f"# max {_text(payload['max'])}"]) + "\n"
 
 
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
-    axis = MeasurementAxis(args.axis)
-    rows = _sweep_rows(axis, args.points)
-    best = maximize_gain(axis)
-    if args.format == "json":
-        payload = {
-            "axis": axis.value,
-            "records": [_sweep_record(*row) for row in rows],
-            "max": _sweep_record(best.t_star, best.c_before, best.c_after, best.delta_c),
-        }
-        text = json.dumps(payload) + "\n"
-    else:
-        lines = ["t,c_before,c_after,delta_c"]
-        for t, c_before, c_after, delta_c in rows:
-            t_text = "inf" if math.isinf(t) else f"{t:.12g}"
-            lines.append(f"{t_text},{c_before:.12g},{c_after:.12g},{delta_c:.12g}")
-        best_t = "inf" if math.isinf(best.t_star) else f"{best.t_star:.12g}"
-        lines.append(
-            f"# max t={best_t} c_before={best.c_before:.12g} "
-            f"c_after={best.c_after:.12g} delta_c={best.delta_c:.12g}"
-        )
-        text = "\n".join(lines) + "\n"
+    payload = _sweep_payload(MeasurementAxis(args.axis), args.points)
+    text = json.dumps(_rounded(payload)) + "\n" if args.format == "json" else _sweep_csv(payload)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -288,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted two-qubit families: verification and analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    axes = [axis.value for axis in MeasurementAxis]
 
     p_check = sub.add_parser("check", help="verify generator algebras / group facts")
     p_check.add_argument("world", choices=["x", "s3", "s4"])
@@ -298,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--format", choices=["text", "json"], default="text")
 
     p_measure = sub.add_parser("measure", help="apply one measurement channel")
-    p_measure.add_argument("--axis", choices=["h1", "h2", "h3"], required=True)
+    p_measure.add_argument("--axis", choices=axes, required=True)
     _add_state_flags(p_measure)
     p_measure.add_argument("--format", choices=["text", "json"], default="text")
 
     p_sweep = sub.add_parser("sweep", help="tabulate gain curves over t")
-    p_sweep.add_argument("--axis", choices=["h1", "h2", "h3"], required=True)
+    p_sweep.add_argument("--axis", choices=axes, required=True)
     p_sweep.add_argument("--points", type=int, default=1001)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")

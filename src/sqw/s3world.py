@@ -323,6 +323,8 @@ def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
 
 def measure_update_matrix(rho: Mat4, axis: MeasurementAxis) -> Mat4:
     """The same channel evaluated directly on a matrix: (rho + H rho H)/2."""
+    if not isinstance(axis, MeasurementAxis):
+        raise _not_an_axis(axis)
     h = axis.matrix
     return (rho + h @ rho @ h) / 2
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqw import cli
 from sqw.cli import main
+from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, gain
 
 
@@ -46,6 +48,21 @@ def test_check_x_json(capsys):
     assert payload["all_pass"] is True
     assert len(payload["checks"]) == 48
     assert all(c["deviation"] <= 1e-12 for c in payload["checks"])
+
+
+def test_failing_check_exits_one(capsys, monkeypatch):
+    failing = Report((CheckResult("H1 H2 = H3", False, 0.12345678901234567),))
+    monkeypatch.setattr(cli, "check_s3_relations", lambda: failing)
+    code, out, _ = run(capsys, "check", "s3")
+    assert code == 1
+    assert out.splitlines() == ["FAIL H1 H2 = H3", "s3: FAILURES PRESENT (1 checks)"]
+    code, out, _ = run(capsys, "check", "s3", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    assert payload["checks"] == [
+        {"name": "H1 H2 = H3", "passed": False, "deviation": 0.123456789012}
+    ]
 
 
 # ---- state ----
@@ -274,6 +291,7 @@ def test_sweep_unwritable_path_exits_two(capsys, tmp_path):
 # ---- golden outputs ----
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+AXES = [axis.value for axis in MeasurementAxis]
 
 
 @pytest.mark.parametrize("world", ["x", "s3", "s4"])
@@ -322,6 +340,30 @@ def test_sweep_matches_golden_bytes(capsys, tmp_path, axis, points, fmt):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def _golden_payload(name: str) -> dict:
+    # JSON writes a non-finite float as its text; read it back as the float.
+    def floats(obj):
+        return {k: math.inf if v == "inf" else v for k, v in obj.items()}
+
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"), object_hook=floats)
+
+
+@pytest.mark.parametrize(
+    "stem", [f"state_{name}" for name in STATE_GOLDENS] + [f"measure_{a}_t0" for a in AXES]
+)
+def test_text_golden_renders_the_json_golden(stem):
+    text = "\n".join(cli._text_lines(_golden_payload(f"{stem}.json"))) + "\n"
+    assert text == (GOLDEN / f"{stem}.text").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("points", [2, 3, 7, 101])
+def test_csv_golden_renders_the_json_golden(axis, points):
+    stem = f"sweep_{axis}_{points}"
+    csv = cli._sweep_csv(_golden_payload(f"{stem}.json"))
+    assert csv == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "name, argv, code",
     [
@@ -340,6 +382,23 @@ def test_usage_matches_golden_bytes(capsys, monkeypatch, name, argv, code):
     assert got_code == code
     golden = (GOLDEN / f"usage_{name}.txt").read_text(encoding="utf-8")
     assert (out, err) == ((golden, "") if code == 0 else ("", golden))
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("state_not_psd", ["state", "--b", "0.3", "--c", "0.3", "--d", "-1.1"], 1),
+        ("measure_off_unit_a", ["measure", "--axis", "h2", "--a", "0.5", "--b", "0",
+                                "--c", "0", "--d", "0"], 1),
+        ("state_t_nan", ["state", "--t", "nan"], 2),
+        ("measure_axis_h4", ["measure", "--axis", "h4", "--t", "0"], 2),
+    ],
+)
+def test_error_matches_golden_bytes(capsys, monkeypatch, name, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (
+        code, "", (GOLDEN / f"error_{name}.txt").read_text(encoding="utf-8")
+    )
 
 
 # ---- argv fuzzing ----

@@ -607,6 +607,7 @@ def test_a_non_axis_raises_type_error():
     # Unchecked, a string reaches the H3 branch and gets H3's numbers.
     calls = (
         lambda: measure_update(t_param(0.0), "h1"),
+        lambda: measure_update_matrix(assemble_s3(t_param(0.0)), "h1"),
         lambda: gain("h1", 0.0),
         lambda: gain_curve("h1", [0.0, math.inf]),
         lambda: gain_closed_form("h1", 0.0),
