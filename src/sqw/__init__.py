@@ -35,7 +35,7 @@ _EXPORTS = {
         "concurrence_closed", "gain", "gain_closed_form", "gain_curve", "ie_checks",
         "ie_reach", "ie_state", "is_pure", "maximize_gain", "mean_values",
         "measure_update", "measure_update_matrix", "pure_vector", "reduce_five_coeff",
-        "s3_spectrum", "t_grid", "t_param",
+        "s3_spectrum", "swap_concurrence", "t_grid", "t_param",
     ),
     "permworld": (
         "Perm4", "Subgroup", "classify", "enumerate_subgroups", "generate",

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -118,6 +119,9 @@ def _state_report(coeffs: S3Coeffs) -> dict:
     }
 
 
+_STATE_FLAGS = ("--a", "--b", "--c", "--d", "--t")
+
+
 def _add_state_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--a", type=float, default=None, help="identity coefficient (default 1)")
     parser.add_argument("--b", type=float, default=None)
@@ -129,6 +133,20 @@ def _add_state_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--ie", action="store_true", help="the irreducible symmetric mixed state"
     )
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--t -inf`` as ``--t=-inf``, for each state flag followed by a negative number.
+
+    argparse would read the separate ``-inf`` or ``-1e-3`` as an option.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _STATE_FLAGS and re.match(r"-[\d.in]", arg, re.IGNORECASE):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _coeffs_from_args(args) -> S3Coeffs:
@@ -307,7 +325,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     handlers = {

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import NotHermitian, PreconditionViolated
 
 # Matrices and vectors are plain complex128 numpy arrays.
 Mat4 = np.ndarray
@@ -49,18 +49,33 @@ PHASE_TOL = 1e-8
 _SCALE_ABOVE = 1e150
 
 
-def herm_eigen(m: Mat4) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def _as_mat4(m) -> Mat4:
+    # The package's one shape rule for matrices; see herm_eigen.
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        gap = sum(abs(n - 4) for n in m.shape) + 4 * abs(m.ndim - 2)
+        raise PreconditionViolated(
+            f"matrix must be 4x4, got shape {m.shape}", violation=float(gap)
+        )
+    return m
+
+
+def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian 4x4 matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` real and ascending and the
     corresponding orthonormal eigenvectors as the columns of ``v``. The
-    result is deterministic for identical input. Raises ``NotHermitian``
-    for any NaN or infinite entry, with the number of non-finite entries as
-    the violation, and when the Hermiticity defect ``||m - m^dagger||_F``
+    result is deterministic for identical input. ``m`` may be any array-like,
+    read as complex. A shape other than (4, 4) raises ``PreconditionViolated``
+    whose violation is the sum of each axis length's gap to 4, plus 4 per
+    missing or extra axis. Raises ``NotHermitian`` for any NaN or infinite
+    entry, with the number of non-finite entries as the violation, and when
+    the Hermiticity defect ``||m - m^dagger||_F``
     exceeds ``HERMITIAN_TOL``. With entries above 1e150 the defect is taken
     on a rescaled copy and scaled back as a Python float, so it never
     overflows a numpy operation; at worst it is inf.
     """
+    m = _as_mat4(m)
     s = float(np.abs(m).max())
     if not math.isfinite(s):
         finite = np.isfinite(m)
@@ -69,12 +84,12 @@ def herm_eigen(m: Mat4) -> tuple[np.ndarray, np.ndarray]:
             raise NotHermitian(
                 f"matrix has {bad} non-finite entries", violation=float(bad)
             )
+    x, scale = m, 1.0
     if s > _SCALE_ABOVE:
-        s = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-        x = m / s
-        defect = s * float(np.linalg.norm(x - x.conj().T))
-    else:
-        defect = float(np.linalg.norm(m - m.conj().T))
+        scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+        x = m / scale
+    diff = x - x.conj().T
+    defect = scale * math.sqrt(np.vdot(diff, diff).real)
     if defect > HERMITIAN_TOL:
         raise NotHermitian(
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",

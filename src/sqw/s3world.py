@@ -27,7 +27,8 @@ from .errors import (
     reject_non_finite,
 )
 from .linalg import (
-    COEFF_TOL, PHASE_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, herm_eigen, locked,
+    COEFF_TOL, PHASE_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, _as_mat4, herm_eigen,
+    locked,
 )
 from .report import CheckResult, Report, exact
 
@@ -110,6 +111,18 @@ class MeasurementAxis(Enum):
         return {"h1": H1, "h2": H2, "h3": H3}[self.value]
 
 
+def _swap_index(h: Mat4) -> np.ndarray:
+    # Flat indices f with (h @ m @ h).flat[i] == m.flat[f[i]]: a swap is a
+    # symmetric permutation, so (h m h)[k, l] = m[p[k], p[l]] with p[k] the
+    # column of the one in row k. Plain lists: numpy kernels run at import
+    # cost every CLI process resident memory (0.5 MB for one 4x4 matmul).
+    p = [row.index(1) for row in h.real.tolist()]
+    return np.array([[4 * k + l for l in p] for k in p])
+
+
+_SWAP_INDEX = {axis: _swap_index(axis.matrix) for axis in MeasurementAxis}
+
+
 class MeanValues(NamedTuple):
     a1: float
     a2: float
@@ -183,10 +196,16 @@ def reduce_five_coeff(k: float, l: float, m: float, n: float, p: float) -> S3Coe
 
 
 def assemble_s3(coeffs: S3Coeffs) -> Mat4:
-    """Assemble the matrix a/2 + b H1 + c H2 + d H3 (validity not checked)."""
-    return (
-        (coeffs.a / 2) * UNIT + coeffs.b * H1 + coeffs.c * H2 + coeffs.d * H3
-    )
+    """Assemble the matrix a/2 + b H1 + c H2 + d H3 (validity not checked).
+
+    Each swap puts its coefficient on one off-diagonal pair and the two
+    diagonal entries it fixes; each entry is summed left to right, as above.
+    """
+    h, b, c, d = coeffs.a / 2, coeffs.b, coeffs.c, coeffs.d
+    return np.array(
+        [h + d, b, c, 0.0, b, h + c, d, 0.0, c, d, h + b, 0.0, 0.0, 0.0, 0.0, h + b + c + d],
+        dtype=complex,
+    ).reshape(4, 4)
 
 
 def s3_spectrum(coeffs: S3Coeffs) -> tuple[float, float, float, float]:
@@ -289,6 +308,26 @@ def concurrence_closed(coeffs: S3Coeffs) -> float:
     return 2.0 * math.sqrt(max(prod, 0.0))
 
 
+def swap_concurrence(coeffs: S3Coeffs) -> float:
+    """Verified concurrence 2 min(|d|, sqrt((1/2 + b)(1/2 + c))) of a unit-``a`` state.
+
+    Matches ``concurrence_oracle`` on the whole validity disk, where
+    ``concurrence_closed`` does only on the pure circle. Derivation: let
+    p = 1/2 + b and q = 1/2 + c. The matrix rho is real, its last row is
+    zero, and so is the first column of rho~ = Sigma rho Sigma, Sigma =
+    sigma_y (x) sigma_y. So the only nonzero principal minor of rho rho~ of
+    order 2 or more is the block of rows and columns 1, 2,
+    [[pq + d^2, 2dq], [2dp, pq + d^2]]. Its trace 2(pq + d^2) and
+    determinant (pq - d^2)^2 make the spin-flip eigenvalues (d +- sqrt(pq))^2
+    and two zeros, so C = |d| + sqrt(pq) - ||d| - sqrt(pq)| = 2 min(|d|,
+    sqrt(pq)). Raises ``PreconditionViolated`` off the unit-``a`` slice and
+    ``OutsideValidityWindow`` outside it; pq is clamped against rounding.
+    """
+    _require_unit_a_state(coeffs)
+    b, c, d = coeffs.b, coeffs.c, coeffs.d
+    return 2.0 * min(abs(d), math.sqrt(max((0.5 + b) * (0.5 + c), 0.0)))
+
+
 def _not_an_axis(axis) -> TypeError:
     return TypeError(f"axis must be a MeasurementAxis, got {axis!r}")
 
@@ -321,12 +360,16 @@ def measure_update(coeffs: S3Coeffs, axis: MeasurementAxis) -> S3Coeffs:
     return S3Coeffs(coeffs.a, *_channel(axis, coeffs.b, coeffs.c, coeffs.d))
 
 
-def measure_update_matrix(rho: Mat4, axis: MeasurementAxis) -> Mat4:
-    """The same channel evaluated directly on a matrix: (rho + H rho H)/2."""
+def measure_update_matrix(rho, axis: MeasurementAxis) -> Mat4:
+    """The same channel evaluated directly on a matrix: (rho + H rho H)/2.
+
+    ``H rho H`` swaps two rows and two columns, so it is one ``take``. ``rho``
+    is read as ``herm_eigen`` reads it, with the same 4x4 shape rule.
+    """
     if not isinstance(axis, MeasurementAxis):
         raise _not_an_axis(axis)
-    h = axis.matrix
-    return (rho + h @ rho @ h) / 2
+    rho = _as_mat4(rho)
+    return (rho + rho.take(_SWAP_INDEX[axis])) / 2
 
 
 def pure_concurrence(t: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
+from .errors import NotPSD, TraceNotOne, reject_non_finite
 from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -20,6 +20,12 @@ SIGMA_Y.setflags(write=False)
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = np.kron(SIGMA_Y, SIGMA_Y)
 SPIN_FLIP_OP.setflags(write=False)
+# SPIN_FLIP_OP is a signed permutation: SPIN_FLIP_OP @ x equals
+# _FLIP_SIGN * x.take(_FLIP_ORDER, axis=0), up to the signs of zeros. Read off
+# as plain lists, as s3world's swap indices are, to run no numpy kernel at import.
+_FLIP = [(k, x) for row in SPIN_FLIP_OP.real.tolist() for k, x in enumerate(row) if x]
+_FLIP_ORDER = np.array([k for k, _ in _FLIP])
+_FLIP_SIGN = np.array([[x] for _, x in _FLIP])
 
 
 @dataclass(frozen=True)
@@ -53,20 +59,13 @@ def validate_density(m) -> DensityMatrix:
     defect within the rounding of the diagonal sum (4 eps max|m_ij|) is left
     to the positivity check: entries that large which cancel to a wrong trace
     leave a negative eigenvalue, so the matrix raises ``NotPSD``. A shape
-    other than (4, 4) raises ``PreconditionViolated``, whose violation is the
-    distance of the shape from (4, 4): the sum of each axis length's gap to 4,
-    plus 4 per missing or extra axis. A NaN or infinite entry raises
-    ``NotHermitian`` (from ``herm_eigen``), whose violation is then the number
-    of non-finite entries.
+    other than (4, 4) raises ``PreconditionViolated`` and a NaN or infinite
+    entry raises ``NotHermitian``, both from ``herm_eigen``, whose docstring
+    gives their violations.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        gap = sum(abs(n - 4) for n in m.shape) + 4 * abs(m.ndim - 2)
-        raise PreconditionViolated(
-            f"density matrix must be 4x4, got shape {m.shape}", violation=float(gap)
-        )
     w, v = herm_eigen(m)
-    tr = np.trace(m)
+    tr = m.trace()
     tr_err = abs(tr.real - 1.0) + abs(tr.imag)
     if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
         raise TraceNotOne(
@@ -95,8 +94,8 @@ def purity(rho) -> float:
 
 def spin_flip(rho) -> Mat4:
     """The spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = _as_density(rho).m
-    return SPIN_FLIP_OP @ m.conj() @ SPIN_FLIP_OP
+    flipped = _as_density(rho).m.conj().take(_FLIP_ORDER, axis=0).take(_FLIP_ORDER, axis=1)
+    return _FLIP_SIGN * flipped * _FLIP_SIGN.T
 
 
 def entanglement_of_formation(concurrence: float) -> float:
@@ -137,12 +136,14 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     M^dagger M`` with ``M = psi^T Sigma psi``. So the ``lambda_i`` are the
     singular values of ``M``: one SVD of a 4x4 matrix, nonnegative and
     descending by construction, with no square root of a rounded eigenvalue.
+    ``Sigma psi`` is taken as the signed row reversal ``Sigma`` amounts to.
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
     the one inside ``validate_density``.
     """
     dm = _as_density(rho)
     psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
-    lam = np.linalg.svd(psi.T @ SPIN_FLIP_OP @ psi, compute_uv=False).tolist()
+    flipped = _FLIP_SIGN * psi.take(_FLIP_ORDER, axis=0)  # SPIN_FLIP_OP @ psi
+    lam = np.linalg.svd(psi.T @ flipped, compute_uv=False).tolist()
     c = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
     return ConcurrenceReport(
         omegas=tuple(x * x for x in lam),

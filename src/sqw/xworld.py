@@ -131,9 +131,12 @@ def assemble_x(coeffs: XCoeffs) -> DensityMatrix:
     Coefficients outside the positivity ball raise ``NotPSD``.
     """
     _ball_norms(coeffs)
-    m = UNIT + coeffs.e * E
-    for i in range(3):
-        m = m + coeffs.p[i] * LAMBDA[i] + coeffs.s[i] * TAU[i]
+    # The generator sum, entry by entry: E, lambda_3 and tau_3 on the diagonal.
+    e, (p1, p2, p3), (s1, s2, s3) = coeffs.e, coeffs.p, coeffs.s
+    m = np.array([
+        1 + e + p3, 0, 0, complex(p1, -p2), 0, 1 - e + s3, complex(s1, -s2), 0,
+        0, complex(s1, s2), 1 - e - s3, 0, complex(p1, p2), 0, 0, 1 + e - p3,
+    ], dtype=complex).reshape(4, 4)
     return validate_density(m / 4)
 
 

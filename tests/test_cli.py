@@ -147,6 +147,25 @@ def test_state_nan_parameter_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spaced, attached",
+    [
+        (["--t", "-inf"], ["--t=-inf"]),
+        (["--t", "-1e-3"], ["--t=-1e-3"]),
+        (["--b", "-2.5e-1", "--c", "-0.25", "--d", "0"],
+         ["--b=-2.5e-1", "--c=-0.25", "--d", "0"]),
+        (["--a", "-1e0", "--b", "0.5", "--c", "0.5", "--d", "0.5"],
+         ["--a=-1e0", "--b", "0.5", "--c", "0.5", "--d", "0.5"]),
+    ],
+    ids=["t-minus-inf", "t-exponent", "bcd", "a"],
+)
+@pytest.mark.parametrize("command", [["state"], ["measure", "--axis", "h2"]])
+def test_negative_value_after_a_space_reads_as_attached(capsys, command, spaced, attached):
+    results = [run(capsys, *command, *flags) for flags in (spaced, attached)]
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
+
+
 def test_state_general_identity_coefficient(capsys):
     # away from the unit-a slice the closed-form fields are absent
     code, out, _ = run(

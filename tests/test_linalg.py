@@ -1,11 +1,12 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sqw import linalg
-from sqw.errors import NotHermitian
+from sqw.errors import NotHermitian, PreconditionViolated
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -95,6 +96,32 @@ def test_herm_eigen_rejects_non_finite_entries(m, bad):
     with pytest.raises(NotHermitian) as err:
         linalg.herm_eigen(m)
     assert err.value.violation == bad
+
+
+def test_herm_eigen_reads_a_nested_list_as_the_array():
+    m = random_hermitian(np.random.default_rng(23))
+    w, v = linalg.herm_eigen(m.tolist())
+    w_ref, v_ref = linalg.herm_eigen(m)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize(
+    "shape, gap",
+    [((4, 3), 1.0), ((2, 4, 4), 6.0), ((4,), 4.0)],
+    ids=["4x3", "stacked", "1-d"],
+)
+def test_herm_eigen_rejects_a_shape_other_than_4x4(shape, gap):
+    with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
+        linalg.herm_eigen(np.zeros(shape, dtype=complex))
+    assert err.value.violation == gap
+
+
+def test_herm_eigen_defect_is_the_frobenius_norm():
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[2, 3] = 1.0, 2j
+    with pytest.raises(NotHermitian) as err:
+        linalg.herm_eigen(m)
+    assert err.value.violation == math.sqrt(10.0)
 
 
 def test_herm_eigen_contracts_on_random_input():

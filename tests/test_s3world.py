@@ -422,6 +422,20 @@ def test_measure_update_matches_matrix_channel():
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
+def test_measure_update_matrix_reads_a_nested_list_as_the_array():
+    rho = assemble_s3(random_s3_coeffs(np.random.default_rng(91)))
+    for axis in AXES:
+        assert np.array_equal(
+            measure_update_matrix(rho.tolist(), axis), measure_update_matrix(rho, axis)
+        )
+
+
+def test_measure_update_matrix_rejects_a_3x3():
+    with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
+        measure_update_matrix(np.eye(3) / 3, MeasurementAxis.H1)
+    assert err.value.violation == 2.0
+
+
 def test_measure_update_idempotent_exactly():
     rng = np.random.default_rng(97)
     for _ in range(300):

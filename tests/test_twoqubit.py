@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sqw import s3world, twoqubit, xworld
-from sqw.errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
+from sqw.errors import (
+    NotHermitian, NotPSD, OutsideValidityWindow, PreconditionViolated, TraceNotOne,
+)
 from sqw.twoqubit import (
     concurrence_oracle,
     entanglement_of_formation,
@@ -289,14 +291,27 @@ def test_oracle_matches_swap_min_form_on_whole_disk():
     coeffs = [random_s3_coeffs(rng) for _ in range(2000)]
     coeffs += [s3world.t_param(t) for t in _circle_ts(53)]
     coeffs.append(s3world.ie_state())
-    dev = max(
-        abs(
-            concurrence_oracle(s3world.assemble_s3(k)).concurrence
-            - _swap_min_form(k.b, k.c, k.d)
-        )
-        for k in coeffs
-    )
+    dev = 0.0
+    for k in coeffs:
+        min_form = _swap_min_form(k.b, k.c, k.d)
+        # The library's verified closed form is this min-form, bit for bit.
+        assert s3world.swap_concurrence(k) == min_form
+        dev = max(dev, abs(concurrence_oracle(s3world.assemble_s3(k)).concurrence - min_form))
     assert dev <= ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        (s3world.S3Coeffs(0.5, 0.0, 0.0, 0.0), PreconditionViolated),
+        (s3world.S3Coeffs(1.0, 0.1, 0.1, -0.7), OutsideValidityWindow),
+    ],
+    ids=["off-unit-a", "outside-window"],
+)
+def test_swap_concurrence_rejects_what_concurrence_closed_rejects(coeffs, error):
+    for route in (s3world.swap_concurrence, s3world.concurrence_closed):
+        with pytest.raises(error):
+            route(coeffs)
 
 
 def test_oracle_matches_pure_circle_concurrence():
