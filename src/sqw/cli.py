@@ -12,8 +12,6 @@ subcommands that run them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import re
@@ -43,6 +41,7 @@ from .s3world import (
     maximize_gain,
     mean_values,
     measure_update,
+    swap_concurrence,
     t_grid,
     t_param,
 )
@@ -69,6 +68,13 @@ def _rounded(value):
     if isinstance(value, list):
         return [_rounded(item) for item in value]
     return value
+
+
+def _json_text(payload) -> str:
+    """The JSON rendering; only commands that print JSON import ``json``."""
+    import json
+
+    return json.dumps(_rounded(payload))
 
 
 def _text(value) -> str:
@@ -99,7 +105,7 @@ def _text_lines(payload: dict, indent: str = "") -> list[str]:
 
 
 def _print_payload(payload: dict, fmt: str):
-    print(json.dumps(_rounded(payload)) if fmt == "json" else "\n".join(_text_lines(payload)))
+    print(_json_text(payload) if fmt == "json" else "\n".join(_text_lines(payload)))
 
 
 def _state_report(coeffs: S3Coeffs) -> dict:
@@ -109,7 +115,7 @@ def _state_report(coeffs: S3Coeffs) -> dict:
     oracle = concurrence_oracle(dm)
     unit_a = is_unit_a(coeffs)
     return {
-        "coeffs": dataclasses.asdict(coeffs),
+        "coeffs": coeffs._asdict(),
         "eigenvalues": dm.eigenvalues.tolist(),
         "pure": bool(is_pure(coeffs) if unit_a else abs(purity(dm) - 1.0) <= PURE_TOL),
         "criterion_R": mean_values(coeffs).r if unit_a else None,
@@ -208,9 +214,9 @@ def _cmd_check(args) -> int:
     else:
         report, extra = _s4_report()
     if args.format == "json":
-        checks = [dataclasses.asdict(c) for c in report]
+        checks = [c._asdict() for c in report]
         payload = {"world": args.world, "all_pass": report.all_pass, **extra, "checks": checks}
-        print(json.dumps(_rounded(payload)))
+        print(_json_text(payload))
     else:
         lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}" for c in report]
         status = "all checks passed" if report.all_pass else "FAILURES PRESENT"
@@ -233,9 +239,14 @@ def _cmd_measure(args) -> int:
         "before": _state_report(before),
         "after": _state_report(after),
         "delta_c": concurrence_closed(after) - concurrence_closed(before),
+        "delta_c_verified": swap_concurrence(after) - swap_concurrence(before),
     }
     _print_payload(payload, args.format)
     return 0
+
+
+#: Most grid points ``sweep`` takes; the grid and its records are held in memory.
+_MAX_POINTS = 10**6
 
 
 def _sweep_payload(axis: MeasurementAxis, points: int) -> dict:
@@ -269,8 +280,10 @@ def _sweep_csv(payload: dict) -> str:
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise _UsageError("--points must be at least 2")
+    if args.points > _MAX_POINTS:
+        raise _UsageError(f"--points must be at most {_MAX_POINTS}")
     payload = _sweep_payload(MeasurementAxis(args.axis), args.points)
-    text = json.dumps(_rounded(payload)) + "\n" if args.format == "json" else _sweep_csv(payload)
+    text = _json_text(payload) + "\n" if args.format == "json" else _sweep_csv(payload)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

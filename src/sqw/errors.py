@@ -46,3 +46,12 @@ def reject_non_finite(values, what: str = "coefficients") -> NoReturn:
     """Raise ``PreconditionViolated`` with the count of non-finite ``values``."""
     bad = sum(not math.isfinite(v) for v in values)
     raise PreconditionViolated(f"{what} must be finite", violation=float(bad))
+
+
+def _validated_make(cls, iterable):
+    """``_make`` for a NamedTuple whose ``__new__`` validates: build through it.
+
+    NamedTuple's own ``_make``, which ``_replace`` calls, fills the tuple
+    without calling ``__new__``; bound as ``_make = classmethod(...)``.
+    """
+    return cls(*iterable)

@@ -19,7 +19,7 @@ Vec4 = np.ndarray
 
 
 def locked(rows) -> Mat4:
-    """A read-only complex matrix, for the package's constant generators."""
+    """A read-only complex array, for the package's constant matrices and vectors."""
     m = np.array(rows, dtype=complex)
     m.setflags(write=False)
     return m

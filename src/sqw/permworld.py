@@ -8,29 +8,38 @@ and cycle observables of the restricted two-qubit family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _validated_make
 from .linalg import Mat4
 
 POINTS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True, order=True)
-class Perm4:
+class _Images(NamedTuple):
+    images: tuple[int, int, int, int]
+
+
+class Perm4(_Images):
     """A permutation of {1, 2, 3, 4}, stored as the image tuple.
 
     Composition is left-to-right: ``(p * q)(i) == q(p(i))``, which makes
-    ``perm_matrix`` a homomorphism under ordinary matrix multiplication.
+    ``perm_matrix`` a homomorphism under ordinary matrix multiplication. A
+    NamedTuple of one field, so permutations sort by their images; the
+    constructor, and ``_make`` and ``_replace`` through it, reject a tuple
+    that is not a permutation.
     """
 
-    images: tuple[int, int, int, int]
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(POINTS):
-            raise ValueError(f"not a permutation of 1..4: {self.images}")
+    def __new__(cls, images: tuple[int, int, int, int]):
+        if sorted(images) != list(POINTS):
+            raise ValueError(f"not a permutation of 1..4: {images}")
+        return tuple.__new__(cls, (images,))
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
@@ -60,24 +69,18 @@ def all_elements() -> tuple[Perm4, ...]:
     return tuple(Perm4(images) for images in itertools.permutations(POINTS))
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its sorted element tuple (canonical identity)."""
+class Subgroup(tuple):
+    """A subgroup as its sorted element tuple (canonical identity)."""
 
-    elements: tuple[Perm4, ...]
+    __slots__ = ()
+
+    @property
+    def elements(self) -> tuple[Perm4, ...]:
+        return tuple(self)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Perm4) -> bool:
-        return p in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return len(self)
 
 
 @lru_cache(maxsize=1)
@@ -124,7 +127,7 @@ def enumerate_subgroups() -> tuple[Subgroup, ...]:
         found.add(generate((g,)))
     for g, h in itertools.combinations(elements, 2):
         found.add(generate((g, h)))
-    return tuple(sorted(found, key=lambda s: (s.order, s.elements)))
+    return tuple(sorted(found, key=lambda s: (s.order, s)))
 
 
 def stabilizer(point: int) -> Subgroup:

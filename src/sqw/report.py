@@ -2,31 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     deviation: float = 0.0
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class Report(tuple):
+    """A tuple of ``CheckResult``, built as ``Report(checks)``."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-    def __len__(self) -> int:
-        return len(self.checks)
+        return all(c.passed for c in self)
 
 
 def exact(name: str, lhs, rhs) -> CheckResult:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import (
     NormalizationViolated, NotPSD, OutsideValidityWindow, PreconditionViolated,
-    reject_non_finite,
+    _validated_make, reject_non_finite,
 )
 from .linalg import (
     COEFF_TOL, PHASE_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, _as_mat4, herm_eigen,
@@ -43,8 +42,8 @@ H3 = locked([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 #: The two cyclic shifts of the first three basis states, A = B^dagger.
 A = locked([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 B = locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-#: Commutes with all five generators.
-CASIMIR = locked(H1 + H2 + H3)
+#: H1 + H2 + H3, which commutes with all five generators.
+CASIMIR = locked([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 3]])
 _GENERATORS = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
 #: The 25 products x*y = z of the generator table, with "1" the identity.
 _PRODUCTS = (
@@ -58,12 +57,11 @@ _PRODUCTS = (
     ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
 )
 
-_KERNEL_1 = np.array([0, 0, 0, 1], dtype=complex)
-_KERNEL_2 = np.array([1, 1, 1, 0], dtype=complex) / np.sqrt(3)
-_KERNEL_1.setflags(write=False)
-_KERNEL_2.setflags(write=False)
-#: Null vectors shared by every unit-``a`` state.
-KERNEL_VECTORS: tuple[Vec4, Vec4] = (_KERNEL_1, _KERNEL_2)
+_ROOT_THIRD = 1.0 / math.sqrt(3.0)
+#: Null vectors shared by every unit-``a`` state: e4 and (1, 1, 1, 0)/sqrt(3).
+KERNEL_VECTORS: tuple[Vec4, Vec4] = (
+    locked([0, 0, 0, 1]), locked([_ROOT_THIRD, _ROOT_THIRD, _ROOT_THIRD, 0])
+)
 
 
 def _norm_defect(total):
@@ -84,19 +82,28 @@ def _reject_sum(terms: str, values: tuple, dev: float):
     raise NormalizationViolated(f"{terms} differs from 1/2 by {dev:.3e}", violation=dev)
 
 
-@dataclass(frozen=True)
-class S3Coeffs:
-    """Coefficients of a/2 + b H1 + c H2 + d H3 with a + b + c + d = 1/2."""
-
+class _S3Fields(NamedTuple):
     a: float
     b: float
     c: float
     d: float
 
-    def __post_init__(self):
-        dev = _norm_defect(self.a + self.b + self.c + self.d)
+
+class S3Coeffs(_S3Fields):
+    """Coefficients of a/2 + b H1 + c H2 + d H3 with a + b + c + d = 1/2.
+
+    A NamedTuple whose constructor checks the sum; ``_make`` and
+    ``_replace`` build through it.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, a: float, b: float, c: float, d: float):
+        dev = _norm_defect(a + b + c + d)
         if not dev <= COEFF_TOL:
-            _reject_sum("a + b + c + d", (self.a, self.b, self.c, self.d), dev)
+            _reject_sum("a + b + c + d", (a, b, c, d), dev)
+        return tuple.__new__(cls, (a, b, c, d))
 
 
 class MeasurementAxis(Enum):
@@ -130,8 +137,7 @@ class MeanValues(NamedTuple):
     r: float
 
 
-@dataclass(frozen=True)
-class GainResult:
+class GainResult(NamedTuple):
     """Entanglement change of one measurement applied to one pure state."""
 
     t_star: float

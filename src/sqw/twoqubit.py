@@ -7,19 +7,15 @@ expression in the package is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotPSD, TraceNotOne, reject_non_finite
-from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen
-
-SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-SIGMA_Y.setflags(write=False)
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
-SPIN_FLIP_OP = np.kron(SIGMA_Y, SIGMA_Y)
-SPIN_FLIP_OP.setflags(write=False)
+SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 # SPIN_FLIP_OP is a signed permutation: SPIN_FLIP_OP @ x equals
 # _FLIP_SIGN * x.take(_FLIP_ORDER, axis=0), up to the signs of zeros. Read off
 # as plain lists, as s3world's swap indices are, to run no numpy kernel at import.
@@ -28,8 +24,7 @@ _FLIP_ORDER = np.array([k for k, _ in _FLIP])
 _FLIP_SIGN = np.array([[x] for _, x in _FLIP])
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple):
     """A validated two-qubit density matrix. Build via ``validate_density``.
 
     ``eigenvalues`` (ascending) and ``eigenvectors`` (the matching columns)
@@ -42,8 +37,7 @@ class DensityMatrix:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConcurrenceReport:
+class ConcurrenceReport(NamedTuple):
     """Spin-flip eigenvalues (descending) with concurrence and formation entropy."""
 
     omegas: tuple[float, float, float, float]

@@ -10,12 +10,12 @@ closed-form spectrum and exactly two classes of pure states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPSD, PreconditionViolated, reject_non_finite
+from .errors import NotPSD, PreconditionViolated, _validated_make, reject_non_finite
 from .linalg import COEFF_TOL, PURE_TOL, UNIT, locked
 from .report import Report, exact
 from .twoqubit import DensityMatrix, validate_density
@@ -23,41 +23,51 @@ from .twoqubit import DensityMatrix, validate_density
 #: Positions that must vanish for an X-patterned matrix (row, col).
 OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
-E = locked(np.diag([1, -1, -1, 1]))
+E = locked([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
 
 #: Pauli-style triple on the outer block (basis states 1 and 4).
 LAMBDA = (
     locked([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
     locked([[0, 0, 0, -1j], [0, 0, 0, 0], [0, 0, 0, 0], [1j, 0, 0, 0]]),
-    locked(np.diag([1, 0, 0, -1])),
+    locked([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]),
 )
 
 #: Pauli-style triple on the inner block (basis states 2 and 3).
 TAU = (
     locked([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]),
     locked([[0, 0, 0, 0], [0, 0, -1j, 0], [0, 1j, 0, 0], [0, 0, 0, 0]]),
-    locked(np.diag([0, 1, -1, 0])),
+    locked([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]),
 )
 
 
-@dataclass(frozen=True)
-class XCoeffs:
-    """Expansion coefficients of an X-state over (1, E, lambda_i, tau_i) / 4."""
-
+class _XFields(NamedTuple):
     e: float
     p: tuple[float, float, float]
     s: tuple[float, float, float]
 
-    def __post_init__(self):
-        gap = abs(len(self.p) - 3) + abs(len(self.s) - 3)
+
+class XCoeffs(_XFields):
+    """Expansion coefficients of an X-state over (1, E, lambda_i, tau_i) / 4.
+
+    A NamedTuple whose constructor checks that ``p`` and ``s`` have three
+    entries each, then that every value is finite; ``_make`` and
+    ``_replace`` build through it.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, e: float, p: tuple[float, float, float], s: tuple[float, float, float]):
+        gap = abs(len(p) - 3) + abs(len(s) - 3)
         if gap:
             raise PreconditionViolated(
-                f"p and s must have 3 entries each, got {len(self.p)} and {len(self.s)}",
+                f"p and s must have 3 entries each, got {len(p)} and {len(s)}",
                 violation=float(gap),
             )
-        vals = (self.e, *self.p, *self.s)
+        vals = (e, *p, *s)
         if not all(map(math.isfinite, vals)):
             reject_non_finite(vals)
+        return tuple.__new__(cls, (e, p, s))
 
     @property
     def p_norm(self) -> float:

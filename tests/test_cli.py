@@ -220,6 +220,22 @@ def test_measure_ie_fixed_point(capsys):
     assert payload["delta_c"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "state", [["--t", "0"], ["--t", "-2.5"], ["--t", "inf"], ["--ie"],
+              ["--b", "-0.1", "--c", "-0.3", "--d", "-0.1"]],
+)
+@pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
+def test_measure_delta_c_verified_is_the_oracle_change(capsys, state, axis):
+    # delta_c stays the paper's closed form; delta_c_verified is the swap
+    # min-form, which the oracle reproduces on the whole disk.
+    code, out, _ = run(capsys, "measure", "--axis", axis, *state, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-2:] == ["delta_c", "delta_c_verified"]
+    oracle = payload["after"]["concurrence_oracle"] - payload["before"]["concurrence_oracle"]
+    assert payload["delta_c_verified"] == pytest.approx(oracle, abs=1e-10)
+
+
 def test_measure_h2_at_zero(capsys):
     code, out, _ = run(capsys, "measure", "--axis", "h2", "--t", "0", "--format", "json")
     assert code == 0
@@ -297,6 +313,23 @@ def test_sweep_bad_points_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_sweep_points_above_the_bound_exit_two_before_any_grid(capsys, monkeypatch, tmp_path):
+    # The payload builder stands in for the real one: at the bound it is
+    # called with the bound and builds two points; above it, never.
+    calls = []
+    real = cli._sweep_payload
+    monkeypatch.setattr(cli, "_sweep_payload", lambda axis, n: calls.append(n) or real(axis, 2))
+    out = tmp_path / "x.csv"
+    for points in (cli._MAX_POINTS + 1, 10**15):
+        code, _, err = run(capsys, "sweep", "--axis", "h1", "--points", str(points),
+                           "--out", str(out))
+        assert (code, err) == (2, "error: --points must be at most 1000000\n")
+    assert calls == [] and not out.exists()
+    code, _, _ = run(capsys, "sweep", "--axis", "h1", "--points", str(cli._MAX_POINTS),
+                     "--out", str(out))
+    assert code == 0 and calls == [10**6] and out.exists()
 
 
 def test_sweep_unwritable_path_exits_two(capsys, tmp_path):

@@ -17,7 +17,9 @@ import numpy as np
 
 from sqw import xworld
 from sqw.linalg import UNIT
-from sqw.s3world import H1, H2, H3, MeasurementAxis, assemble_s3, measure_update_matrix
+from sqw.s3world import (
+    CASIMIR, H1, H2, H3, KERNEL_VECTORS, MeasurementAxis, assemble_s3, measure_update_matrix,
+)
 from sqw.twoqubit import SPIN_FLIP_OP, DensityMatrix, concurrence_oracle, spin_flip
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
@@ -101,3 +103,20 @@ def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
         psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
         lam = np.linalg.svd(psi.T @ (SPIN_FLIP_OP @ psi), compute_uv=False).tolist()
         assert concurrence_oracle(dm).omegas == tuple(x * x for x in lam)
+
+
+def test_literal_constants_equal_their_numpy_expressions():
+    # Written as literals so that importing the package runs no numpy kernel.
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    pairs = [
+        (CASIMIR, H1 + H2 + H3),
+        (KERNEL_VECTORS[0], np.array([0, 0, 0, 1], dtype=complex)),
+        (KERNEL_VECTORS[1], np.array([1, 1, 1, 0], dtype=complex) / np.sqrt(3)),
+        (E, np.diag([1, -1, -1, 1])),
+        (LAMBDA[2], np.diag([1, 0, 0, -1])),
+        (TAU[2], np.diag([0, 1, -1, 0])),
+        (SPIN_FLIP_OP, np.kron(sigma_y, sigma_y)),
+    ]
+    for constant, expression in pairs:
+        assert constant.dtype == complex and not constant.flags.writeable
+        assert constant.shape == expression.shape and (constant == expression).all()

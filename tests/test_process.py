@@ -55,6 +55,9 @@ def test_command_loads_only_the_modules_it_runs(argv, extra):
         if line.startswith("import time:")
     }
     assert {m for m in loaded if m.split(".")[0] == "sqw"} == _BASE | extra
+    # Records are NamedTuples, and only a command that prints JSON imports json.
+    assert "dataclasses" not in loaded
+    assert ("json" in loaded) == ("json" in argv)
 
 
 def test_bare_import_loads_no_submodule_and_resolves_submodules():

@@ -1,0 +1,135 @@
+"""Value records are NamedTuples or tuple subclasses, immutable and validated.
+
+Every record rejects attribute assignment and survives a pickle round trip.
+The records that validate (``S3Coeffs``, ``XCoeffs``, ``Perm4``) raise from
+``_make`` and ``_replace`` exactly what their constructor raises: NamedTuple's
+own ``_make`` fills the tuple without calling ``__new__``.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from sqw.errors import InvalidState
+from sqw.permworld import Perm4, stabilizer
+from sqw.report import CheckResult, Report
+from sqw.s3world import MeasurementAxis, S3Coeffs, assemble_s3, gain, mean_values
+from sqw.twoqubit import concurrence_oracle, validate_density
+from sqw.xworld import XCoeffs
+
+ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _records():
+    coeffs = S3Coeffs(1.0, -1 / 6, -1 / 6, -1 / 6)
+    dm = validate_density(assemble_s3(coeffs))
+    check = CheckResult("H1*H1 = 1", True, 0.0)
+    return {
+        "S3Coeffs": coeffs,
+        "GainResult": gain(MeasurementAxis.H2, 0.5),
+        "MeanValues": mean_values(coeffs),
+        "DensityMatrix": dm,
+        "ConcurrenceReport": concurrence_oracle(dm),
+        "XCoeffs": XCoeffs(0.25, (0.5, 0.0, 0.0), (0.0, 0.25, 0.0)),
+        "CheckResult": check,
+        "Report": Report((check, CheckResult("A*B = 1", False, 0.5))),
+        "Perm4": Perm4((2, 3, 1, 4)),
+        "Subgroup": stabilizer(4),
+    }
+
+
+RECORDS = _records()
+#: Attributes that are not NamedTuple fields.
+PROPERTIES = {
+    "XCoeffs": ("p_norm", "s_norm"), "Report": ("all_pass",),
+    "Subgroup": ("elements", "order"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_tuple_of_its_type(name):
+    record = RECORDS[name]
+    assert type(record).__name__ == name and isinstance(record, tuple)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_attribute_assignment_raises(name):
+    record = RECORDS[name]
+    names = (*getattr(record, "_fields", ()), *PROPERTIES.get(name, ()), "extra")
+    for attr in names:
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0.0)
+    assert not hasattr(record, "__dict__")
+
+
+def _same(a, b) -> bool:
+    # Field by field; an array field is compared with array_equal.
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_pickle_round_trip(name):
+    record = RECORDS[name]
+    assert _same(pickle.loads(pickle.dumps(record)), record)
+
+
+def test_records_compare_equal_to_plain_tuples():
+    assert S3Coeffs(1.0, -0.5, 0.0, 0.0) == (1.0, -0.5, 0.0, 0.0)
+    assert RECORDS["Perm4"] == ((2, 3, 1, 4),)
+    assert RECORDS["Subgroup"] == RECORDS["Subgroup"].elements
+    assert RECORDS["Report"].all_pass is False and Report().all_pass is True
+
+
+def _raised(build):
+    """Class, message and violation of what ``build()`` raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "violation", None)
+
+
+# (valid record, replacement that makes it invalid)
+INVALID_REPLACEMENTS = [
+    (S3Coeffs(1.0, -0.5, 0.0, 0.0), {"a": 5.0}),
+    (S3Coeffs(1.0, -0.5, 0.0, 0.0), {"b": math.nan}),
+    (S3Coeffs(1.0, -0.5, 0.0, 0.0), {"c": math.inf, "d": -math.inf}),
+    (XCoeffs(0.0, ZERO3, ZERO3), {"p": (0.0, 0.0)}),
+    (XCoeffs(0.0, ZERO3, ZERO3), {"s": (0.0, 0.0, 0.0, 0.3)}),
+    (XCoeffs(0.0, ZERO3, ZERO3), {"e": math.nan, "s": (math.inf, 0.0, 0.0)}),
+    (Perm4((1, 2, 3, 4)), {"images": (1, 1, 3, 4)}),
+    (Perm4((1, 2, 3, 4)), {"images": (1, 2, 3, 5)}),
+]
+
+
+@pytest.mark.parametrize("record, change", INVALID_REPLACEMENTS)
+def test_replace_and_make_validate_like_the_constructor(record, change):
+    cls = type(record)
+    values = {**record._asdict(), **change}
+    expected = _raised(lambda: cls(**values))
+    assert expected[0] is ValueError or issubclass(expected[0], InvalidState)
+    assert _raised(lambda: record._replace(**change)) == expected
+    assert _raised(lambda: cls._make(values.values())) == expected
+
+
+@pytest.mark.parametrize("record", [S3Coeffs(1.0, -0.5, 0.0, 0.0), XCoeffs(0.0, ZERO3, ZERO3),
+                                    Perm4((2, 1, 3, 4))])
+def test_valid_replace_and_make_keep_the_type(record):
+    cls = type(record)
+    assert type(record._replace()) is cls and record._replace() == record
+    assert type(cls._make(record)) is cls and cls._make(record) == record
+
+
+def test_perm4_keeps_its_sort_order_and_operations():
+    p, q = Perm4((2, 1, 3, 4)), Perm4((1, 3, 2, 4))
+    assert sorted([p, q]) == [q, p] and q < p
+    assert p.images == (2, 1, 3, 4) and p(1) == 2
+    assert (p * q).images == (3, 1, 2, 4) and p.inverse() == p and (p * q).order() == 3
+    stab = stabilizer(4)
+    assert stab.order == len(stab) == 6 and p in stab
+    assert list(stab) == sorted(stab.elements)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -189,7 +188,7 @@ def test_t_param_examples():
     )
     for t in (math.inf, -math.inf):
         # bit for bit: a -0.0 coefficient would print as "-0" in `sqw state`
-        assert bits(astuple(t_param(t))) == bits([1.0, -0.5, 0.0, 0.0])
+        assert bits(tuple(t_param(t))) == bits([1.0, -0.5, 0.0, 0.0])
 
 
 def test_pure_circle_identities():
@@ -544,7 +543,7 @@ def test_grid_winner_matches_scalar_scan(n):
         grid_t = _scan_winner(zip(t_grid(n).tolist(), (c_after - c_before).tolist()))
         assert bits([grid_t]) == bits([best_t])
         if n == 10000:  # maximize_gain's grid
-            assert bits(astuple(maximize_gain(axis))) == bits(astuple(gain(axis, best_t)))
+            assert bits(tuple(maximize_gain(axis))) == bits(tuple(gain(axis, best_t)))
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -576,7 +575,7 @@ MEMO_AXES = (MeasurementAxis.H1, MeasurementAxis.H2, MeasurementAxis.H1, Measure
 
 def test_maximize_gain_repeats_its_first_call_bits():
     maximize_gain.cache_clear()
-    passes = [[bits(astuple(maximize_gain(axis))) for axis in MEMO_AXES] for _ in range(3)]
+    passes = [[bits(tuple(maximize_gain(axis))) for axis in MEMO_AXES] for _ in range(3)]
     assert passes[1] == passes[0] and passes[2] == passes[0]
     info = maximize_gain.cache_info()
     # One search per distinct axis; H1 repeats within a pass.
@@ -593,13 +592,13 @@ def test_a_repeat_call_returns_the_same_result_object():
 
 @pytest.mark.parametrize("n", (7, 10000))
 def test_mutating_a_t_grid_leaves_maximize_gain(n):
-    expected = [bits(astuple(maximize_gain(axis))) for axis in AXES]
+    expected = [bits(tuple(maximize_gain(axis))) for axis in AXES]
     for cold in (False, True):
         if cold:
             maximize_gain.cache_clear()
         ours = t_grid(n)
         ours.fill(math.nan)
-        assert [bits(astuple(maximize_gain(axis))) for axis in AXES] == expected
+        assert [bits(tuple(maximize_gain(axis))) for axis in AXES] == expected
 
 
 @pytest.mark.parametrize("n", (10000, np.int64(10000)))
