@@ -46,6 +46,7 @@ REACH_PSD_TOL = 1e-10
 PHASE_TOL = 1e-8
 
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
+#: ``herm_eigen`` skips its finite and scale checks up to this sum of squares.
 _SCALE_ABOVE = 1e150
 
 
@@ -74,20 +75,27 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     exceeds ``HERMITIAN_TOL``. With entries above 1e150 the defect is taken
     on a rescaled copy and scaled back as a Python float, so it never
     overflows a numpy operation; at worst it is inf.
+
+    The finite and scale checks are skipped when the sum of squared moduli,
+    ``np.vdot(m, m).real``, is at most 1e150. Every entry is then finite and
+    below about 1e75, so neither check could fire, whatever the rounding. A
+    larger sum, inf or NaN runs both; the rescaled copy is taken only when the
+    largest entry modulus is above 1e150.
     """
     m = _as_mat4(m)
-    s = float(np.abs(m).max())
-    if not math.isfinite(s):
-        finite = np.isfinite(m)
-        bad = int(finite.size - np.count_nonzero(finite))
-        if bad:
-            raise NotHermitian(
-                f"matrix has {bad} non-finite entries", violation=float(bad)
-            )
     x, scale = m, 1.0
-    if s > _SCALE_ABOVE:
-        scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-        x = m / scale
+    if not np.vdot(m, m).real <= _SCALE_ABOVE:
+        s = float(np.abs(m).max())
+        if not math.isfinite(s):
+            finite = np.isfinite(m)
+            bad = int(finite.size - np.count_nonzero(finite))
+            if bad:
+                raise NotHermitian(
+                    f"matrix has {bad} non-finite entries", violation=float(bad)
+                )
+        if s > _SCALE_ABOVE:
+            scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+            x = m / scale
     diff = x - x.conj().T
     defect = scale * math.sqrt(np.vdot(diff, diff).real)
     if defect > HERMITIAN_TOL:

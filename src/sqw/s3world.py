@@ -118,16 +118,12 @@ class MeasurementAxis(Enum):
         return {"h1": H1, "h2": H2, "h3": H3}[self.value]
 
 
-def _swap_index(h: Mat4) -> np.ndarray:
-    # Flat indices f with (h @ m @ h).flat[i] == m.flat[f[i]]: a swap is a
-    # symmetric permutation, so (h m h)[k, l] = m[p[k], p[l]] with p[k] the
-    # column of the one in row k. Plain lists: numpy kernels run at import
-    # cost every CLI process resident memory (0.5 MB for one 4x4 matmul).
-    p = [row.index(1) for row in h.real.tolist()]
-    return np.array([[4 * k + l for l in p] for k in p])
-
-
-_SWAP_INDEX = {axis: _swap_index(axis.matrix) for axis in MeasurementAxis}
+# p[k] is the column of the one in row k of a swap. Plain lists: numpy kernels
+# run at import cost every CLI process resident memory (0.5 MB for one 4x4 matmul).
+_SWAP_PERM = {a: [row.index(1) for row in a.matrix.real.tolist()] for a in MeasurementAxis}
+# Flat indices f with (h @ m @ h).flat[i] == m.flat[f[i]]: a swap is a
+# symmetric permutation, so (h m h)[k, l] = m[p[k], p[l]].
+_SWAP_INDEX = {a: np.array([[4 * k + l for l in p] for k in p]) for a, p in _SWAP_PERM.items()}
 
 
 class MeanValues(NamedTuple):
@@ -296,10 +292,12 @@ def mean_values(coeffs: S3Coeffs) -> MeanValues:
     where R would exceed 9/2, raises ``OutsideValidityWindow``.
     """
     _require_unit_a_state(coeffs)
-    rho = assemble_s3(coeffs)
-    a1 = float(np.trace(rho @ H1).real) - 1.0
-    a2 = float(np.trace(rho @ H2).real) - 1.0
-    a3 = float(np.trace(rho @ H3).real) - 1.0
+    rho = assemble_s3(coeffs).real.tolist()
+    # tr(rho H) is the sum of rho[k, p[k]], added in np.trace's pairwise order.
+    a1, a2, a3 = (
+        (rho[0][p[0]] + rho[1][p[1]]) + (rho[2][p[2]] + rho[3][p[3]]) - 1.0
+        for p in _SWAP_PERM.values()
+    )
     return MeanValues(a1, a2, a3, a1 * a1 + a2 * a2 + a3 * a3)
 
 

@@ -16,12 +16,9 @@ from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-# SPIN_FLIP_OP is a signed permutation: SPIN_FLIP_OP @ x equals
-# _FLIP_SIGN * x.take(_FLIP_ORDER, axis=0), up to the signs of zeros. Read off
-# as plain lists, as s3world's swap indices are, to run no numpy kernel at import.
-_FLIP = [(k, x) for row in SPIN_FLIP_OP.real.tolist() for k, x in enumerate(row) if x]
-_FLIP_ORDER = np.array([k for k, _ in _FLIP])
-_FLIP_SIGN = np.array([[x] for _, x in _FLIP])
+# SPIN_FLIP_OP is a signed row reversal: SPIN_FLIP_OP @ x equals
+# _FLIP_SIGN * x[::-1], up to the signs of zeros.
+_FLIP_SIGN = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 class DensityMatrix(NamedTuple):
@@ -49,7 +46,9 @@ def validate_density(m) -> DensityMatrix:
     """Check shape, Hermiticity, unit trace and positivity of a 4x4 matrix.
 
     Raises ``NotHermitian``, ``TraceNotOne`` or ``NotPSD`` with the measured
-    violation magnitude; returns the validated wrapper otherwise. A trace
+    violation magnitude; returns the validated wrapper otherwise. The trace
+    is the diagonal sum ``(m00 + m11) + (m22 + m33)``, the pairwise order in
+    which ``m.trace()`` adds four entries, so it is the same number. A trace
     defect within the rounding of the diagonal sum (4 eps max|m_ij|) is left
     to the positivity check: entries that large which cancel to a wrong trace
     leave a negative eigenvalue, so the matrix raises ``NotPSD``. A shape
@@ -59,7 +58,7 @@ def validate_density(m) -> DensityMatrix:
     """
     m = np.asarray(m, dtype=complex)
     w, v = herm_eigen(m)
-    tr = m.trace()
+    tr = (m[0, 0] + m[1, 1]) + (m[2, 2] + m[3, 3])
     tr_err = abs(tr.real - 1.0) + abs(tr.imag)
     if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
         raise TraceNotOne(
@@ -88,8 +87,7 @@ def purity(rho) -> float:
 
 def spin_flip(rho) -> Mat4:
     """The spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    flipped = _as_density(rho).m.conj().take(_FLIP_ORDER, axis=0).take(_FLIP_ORDER, axis=1)
-    return _FLIP_SIGN * flipped * _FLIP_SIGN.T
+    return _FLIP_SIGN * _as_density(rho).m.conj()[::-1, ::-1] * _FLIP_SIGN.T
 
 
 def entanglement_of_formation(concurrence: float) -> float:
@@ -136,11 +134,7 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     """
     dm = _as_density(rho)
     psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
-    flipped = _FLIP_SIGN * psi.take(_FLIP_ORDER, axis=0)  # SPIN_FLIP_OP @ psi
-    lam = np.linalg.svd(psi.T @ flipped, compute_uv=False).tolist()
-    c = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
-    return ConcurrenceReport(
-        omegas=tuple(x * x for x in lam),
-        concurrence=c,
-        eof=entanglement_of_formation(c),
-    )
+    m = psi.T @ (_FLIP_SIGN * psi[::-1])
+    l1, l2, l3, l4 = np.linalg.svd(m, compute_uv=False).tolist()
+    c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
+    return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))

@@ -1,0 +1,162 @@
+"""The per-state kernel as written before its fast paths, and the inputs at their edges.
+
+``herm_eigen`` here takes the largest entry modulus on every call, and
+``validate_density`` takes the trace with ``m.trace()``. The boundary tables
+in ``test_linalg`` and ``test_twoqubit`` require the package to give the same
+bytes, or the same error with the same violation, on every input below.
+"""
+
+import math
+
+import numpy as np
+
+from sqw.errors import NotHermitian, NotPSD, TraceNotOne
+from sqw.linalg import _SCALE_ABOVE, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
+from sqw.twoqubit import DensityMatrix
+
+
+def herm_eigen(m):
+    m = _as_mat4(m)
+    s = float(np.abs(m).max())
+    if not math.isfinite(s):
+        finite = np.isfinite(m)
+        bad = int(finite.size - np.count_nonzero(finite))
+        if bad:
+            raise NotHermitian(
+                f"matrix has {bad} non-finite entries", violation=float(bad)
+            )
+    x, scale = m, 1.0
+    if s > _SCALE_ABOVE:
+        scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+        x = m / scale
+    diff = x - x.conj().T
+    defect = scale * math.sqrt(np.vdot(diff, diff).real)
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(
+            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",
+            violation=defect,
+        )
+    w, v = np.linalg.eigh(m)
+    return w, v
+
+
+def validate_density(m):
+    m = np.asarray(m, dtype=complex)
+    w, v = herm_eigen(m)
+    tr = m.trace()
+    tr_err = abs(tr.real - 1.0) + abs(tr.imag)
+    if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
+        raise TraceNotOne(
+            f"density matrix trace differs from 1 by {tr_err:.3e}", violation=tr_err
+        )
+    if w[0] < -EIGEN_TOL:
+        raise NotPSD(
+            f"density matrix has negative eigenvalue {w[0]:.3e}",
+            violation=float(-w[0]),
+        )
+    out = m.copy()
+    for a in (out, w, v):
+        a.setflags(write=False)
+    return DensityMatrix(out, w, v)
+
+
+def outcome(f, m):
+    """What ``f(m)`` gives, comparable with ``==`` bit for bit.
+
+    Arrays become their dtype, shape and bytes; an error becomes its class
+    and the type and bytes of its ``violation``. A numpy warning raised as an
+    error has no violation; its message names the numpy operation.
+    """
+    try:
+        result = f(m)
+    except Exception as err:  # every class is compared, so none is let through
+        violation = getattr(err, "violation", None)
+        return type(err), type(violation), np.float64(violation).tobytes()
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in result)
+
+
+EPS = np.finfo(float).eps
+QUARTER = np.eye(4, dtype=complex) / 4
+#: Complex entries of modulus just above 1e150 whose squared moduli add to
+#: no more than 1e300: a sum-of-squares gate at 1e300 would let them skip
+#: the rescaling, and a one-sided pair would then give another violation.
+NEAR_CUTOFF = (
+    complex(3.912327562580413e149, 9.202917637525265e149),
+    complex(9.792630784047381e149, 2.0259275227232523e149),
+)
+
+
+def _with(entries):
+    m = QUARTER.copy()
+    for at, value in entries.items():
+        m[at] = value
+    return m
+
+
+def _pair(value, conj=True):
+    # value at (0, 1); its conjugate (Hermitian) or zero (not) at (1, 0).
+    return _with({(0, 1): value, (1, 0): np.conj(value) if conj else 0.0})
+
+
+def _diag(*d):
+    return np.diag(np.array(d, dtype=complex))
+
+
+def boundary_matrices():
+    """``(name, matrix)`` pairs at the edges of ``herm_eigen``'s checks."""
+    cases = []
+    for k in (-2, 2):
+        big = 1e150 * (1 + k * EPS)
+        cases += [
+            (f"1e150(1{k:+d}eps) pair", _pair(big)),
+            (f"1e150(1{k:+d}eps) one-sided", _pair(big, conj=False)),
+            (f"1e150(1{k:+d}eps) diagonal", _with({(0, 0): big})),
+            (f"1e150(1{k:+d}eps) imaginary pair", _pair(1j * big)),
+        ]
+    for i, z in enumerate(NEAR_CUTOFF):
+        cases += [
+            (f"near-cutoff {i} pair", _pair(z)),
+            (f"near-cutoff {i} one-sided", _pair(z, conj=False)),
+        ]
+    cases.append(("all 16 at 0.9e150", np.full((4, 4), 0.9e150, dtype=complex)))
+    cases += [
+        ("1e155 pair", _pair(1e155)),
+        ("1e155 one-sided", _pair(1e155, conj=False)),
+        ("1e155 antisymmetric", _with({(0, 1): 1e155, (1, 0): -1e155})),
+    ]
+    for bad in (math.inf, -math.inf, complex(math.inf, math.inf), complex(0, math.nan)):
+        cases += [
+            (f"{bad} diagonal", _with({(0, 0): bad})),
+            (f"{bad} off-diagonal", _with({(0, 1): bad})),
+        ]
+    cases.append(("all nan", np.full((4, 4), math.nan, dtype=complex)))
+    for k in (-4, 4):
+        # Defect 2t of an imaginary diagonal entry t, 2 sqrt(2) t of a pair t, -t.
+        t = HERMITIAN_TOL * (1 + k * EPS)
+        cases += [
+            (f"defect tol(1{k:+d}eps) diagonal", _with({(0, 0): 0.25 + 0.5j * t})),
+            (f"defect tol(1{k:+d}eps) pair", _with({(0, 1): t / 8**0.5, (1, 0): -t / 8**0.5})),
+        ]
+    return cases
+
+
+def trace_matrices():
+    """``(name, matrix)`` pairs at the edges of ``validate_density``'s trace check."""
+    return [
+        ("-0.0 diagonal", _diag(-0.0, 0.5, 0.5, -0.0)),
+        ("-0.0 diagonal, trace 1/2", _diag(-0.0, 0.5, -0.0, -0.0)),
+        ("-0.0 imaginary diagonal", _diag(complex(0.5, -0.0), 0.5, -0.0, -0.0)),
+        ("pairwise differs from left to right", _diag(0.7, 0.1, 0.2, 0.3)),
+        ("1e300 cancelling", _diag(1e300, -1e300, 0.5, 0.5)),
+        ("1e300 rounding the trace away", _diag(1e300, 0.75, -1e300, 0.25)),
+        ("1e300 off-diagonal", _with({(0, 1): 1e300, (1, 0): 1e300})),
+        ("1e300 trace", _diag(1e300, 1e300, 0.0, 0.0)),
+        ("trace overflows", _diag(1e308, 1e308, 0.0, 0.0)),
+    ] + [
+        # Above and below 1/4: the last first entry whose trace defect is
+        # within TRACE_TOL, then the next float out.
+        (f"trace defect at tol, first entry {v!r}", _diag(v, 0.25, 0.25, 0.25))
+        for v in (
+            0.25000000009999984, 0.2500000000999999, 0.24999999990000007, 0.24999999990000005
+        )
+    ]

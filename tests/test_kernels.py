@@ -1,13 +1,14 @@
 """Each index-map kernel against the constant-matrix form it replaces.
 
 ``assemble_s3`` and ``assemble_x`` place their entries, ``measure_update_matrix``
-swaps rows and columns, and the spin flip reverses rows with signs, instead of
-multiplying by the constant matrices. They must give the same numbers as the
-matrix forms kept here, compared with ``==``, under which only the signs of
-zeros may differ. The inputs are seeded draws of valid states plus zeros of
-both signs, subnormals and +-1e155, whose squares are close to overflow.
-``DensityMatrix`` is built directly where an input is not a valid state: the
-spin flip reads only ``.m`` and the oracle only the decomposition.
+swaps rows and columns, ``mean_values`` reads four entries per swap, and the
+spin flip reverses rows with signs, instead of multiplying by the constant
+matrices. They must give the same numbers as the matrix forms kept here,
+compared with ``==``, under which only the signs of zeros may differ. The
+inputs are seeded draws of valid states plus zeros of both signs, subnormals
+and +-1e155, whose squares are close to overflow. ``DensityMatrix`` is built
+directly where an input is not a valid state: the spin flip reads only
+``.m`` and the oracle only the decomposition.
 """
 
 import itertools
@@ -18,9 +19,12 @@ import numpy as np
 from sqw import xworld
 from sqw.linalg import UNIT
 from sqw.s3world import (
-    CASIMIR, H1, H2, H3, KERNEL_VECTORS, MeasurementAxis, assemble_s3, measure_update_matrix,
+    CASIMIR, H1, H2, H3, KERNEL_VECTORS, MeasurementAxis, assemble_s3, ie_state, mean_values,
+    measure_update_matrix, t_param,
 )
-from sqw.twoqubit import SPIN_FLIP_OP, DensityMatrix, concurrence_oracle, spin_flip
+from sqw.twoqubit import (
+    _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle, spin_flip,
+)
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
 from draws import random_s3_coeffs, random_x_coeffs
@@ -82,6 +86,19 @@ def test_measure_update_matrix_is_the_conjugation_channel():
             assert np.array_equal(measure_update_matrix(rho, axis), (rho + h @ rho @ h) / 2)
 
 
+def test_mean_values_are_the_traces_of_the_swap_products():
+    # Bit for bit: rho @ H adds only exact zeros to the four entries it picks.
+    rng = np.random.default_rng(111)
+    states = [random_s3_coeffs(rng) for _ in range(500)] + [ie_state()]
+    ts = [0.0, 1.0, -1.0, np.inf, -np.inf] + np.tan(rng.uniform(-1.57, 1.57, 500)).tolist()
+    states += [t_param(t) for t in ts]
+    for k in states:
+        rho = assemble_s3(k)
+        a = [float(np.trace(rho @ h).real) - 1.0 for h in (H1, H2, H3)]
+        matmul_form = np.array(a + [a[0] * a[0] + a[1] * a[1] + a[2] * a[2]])
+        assert np.array(mean_values(k)).tobytes() == matmul_form.tobytes()
+
+
 def test_spin_flip_is_the_conjugation_by_sigma_y_sigma_y():
     rng = np.random.default_rng(109)
     for m in _valid_matrices(rng, 200) + _edge_matrices(rng, 500):
@@ -116,6 +133,7 @@ def test_literal_constants_equal_their_numpy_expressions():
         (LAMBDA[2], np.diag([1, 0, 0, -1])),
         (TAU[2], np.diag([0, 1, -1, 0])),
         (SPIN_FLIP_OP, np.kron(sigma_y, sigma_y)),
+        (SPIN_FLIP_OP, _FLIP_SIGN * UNIT[::-1]),
     ]
     for constant, expression in pairs:
         assert constant.dtype == complex and not constant.flags.writeable

@@ -8,6 +8,8 @@ import pytest
 from sqw import linalg
 from sqw.errors import NotHermitian, PreconditionViolated
 
+import kernel_reference
+
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
 
@@ -114,6 +116,19 @@ def test_herm_eigen_rejects_a_shape_other_than_4x4(shape, gap):
     with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
         linalg.herm_eigen(np.zeros(shape, dtype=complex))
     assert err.value.violation == gap
+
+
+_EDGES = kernel_reference.boundary_matrices()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [m for _, m in _EDGES], ids=[name for name, _ in _EDGES])
+def test_herm_eigen_gate_changes_nothing_at_the_edges(m):
+    # The sum-of-squares gate only skips the finite and scale checks; the
+    # eigenpairs, or the error class and violation, are the unguarded ones.
+    assert kernel_reference.outcome(linalg.herm_eigen, m) == kernel_reference.outcome(
+        kernel_reference.herm_eigen, m
+    )
 
 
 def test_herm_eigen_defect_is_the_frobenius_norm():

@@ -15,6 +15,7 @@ from sqw.twoqubit import (
     validate_density,
 )
 
+import kernel_reference
 from draws import random_s3_coeffs, random_x_coeffs
 
 BELL = np.zeros(4, dtype=complex)
@@ -122,6 +123,19 @@ def test_non_finite_and_misshapen_input_rejected(m, error, violation):
         with pytest.raises(error) as err:
             call(m)
         assert err.value.violation == violation
+
+
+_EDGES = kernel_reference.boundary_matrices() + kernel_reference.trace_matrices()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [m for _, m in _EDGES], ids=[name for name, _ in _EDGES])
+def test_validate_density_changes_nothing_at_the_edges(m):
+    # The diagonal sum is m.trace()'s number: the same wrapper bytes, or the
+    # same error class and violation, as the unguarded body with m.trace().
+    assert kernel_reference.outcome(validate_density, m) == kernel_reference.outcome(
+        kernel_reference.validate_density, m
+    )
 
 
 def test_decomposition_kept_read_only_and_rebuilds_the_matrix():
