@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 invalid state or failed verification, 2 usage
 error (including unwritable output paths and an unwritable standard output).
+With ``--format json`` an invalid state is reported on standard error as
+one JSON object: the error's class name, message and violation.
 Each subcommand builds one payload of raw values; JSON, text and CSV are
 renderings of it, and each rounds numbers to 12 significant digits once.
 Identical invocations produce byte-identical output.
@@ -353,7 +355,11 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidState as exc:
-        print(f"invalid state: {exc}", file=sys.stderr)
+        if args.format == "json":
+            error = {"error": type(exc).__name__, "message": str(exc), "violation": exc.violation}
+            print(_json_text(error), file=sys.stderr)
+        else:
+            print(f"invalid state: {exc}", file=sys.stderr)
         return 1
 
 

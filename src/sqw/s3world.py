@@ -308,8 +308,12 @@ def concurrence_closed(coeffs: S3Coeffs) -> float:
     nonnegative on the validity window (clamped against rounding).
     """
     _require_unit_a_state(coeffs)
-    prod = (0.5 + coeffs.b) * (0.5 + coeffs.c)
-    return 2.0 * math.sqrt(max(prod, 0.0))
+    return _closed_concurrence(coeffs.b, coeffs.c)
+
+
+def _closed_concurrence(b: float, c: float) -> float:
+    # concurrence_closed's arithmetic, on a point already checked.
+    return 2.0 * math.sqrt(max((0.5 + b) * (0.5 + c), 0.0))
 
 
 def swap_concurrence(coeffs: S3Coeffs) -> float:
@@ -334,6 +338,13 @@ def swap_concurrence(coeffs: S3Coeffs) -> float:
 
 def _not_an_axis(axis) -> TypeError:
     return TypeError(f"axis must be a MeasurementAxis, got {axis!r}")
+
+
+def _unit_a_ok(b, c, d):
+    # Whether S3Coeffs(1, b, c, d) and the window check accept the point, on
+    # floats (a bool) or arrays; the sums run in the constructor's and
+    # pair_sum's order.
+    return (_norm_defect(1.0 + b + c + d) <= COEFF_TOL) & _in_window(b * c + b * d + c * d)
 
 
 def _channel(axis: MeasurementAxis, b, c, d):
@@ -390,11 +401,16 @@ def gain(axis: MeasurementAxis, t: float) -> GainResult:
     """Concurrence gained by measuring ``axis`` on the pure state at ``t``.
 
     The before value is the parameter formula ``pure_concurrence(t)``; the
-    after value runs the coefficient pipeline: parametrize, apply the
-    channel, evaluate the closed-form concurrence.
+    after value is ``concurrence_closed(measure_update(t_param(t), axis))``.
+    The point and its channel image get that pipeline's checks in one
+    predicate each; if either fails, the pipeline runs and raises its error.
     """
     b, c, d, c_before = _pure_point(t)
-    c_after = concurrence_closed(measure_update(S3Coeffs(1.0, b, c, d), axis))
+    after = _channel(axis, b, c, d)
+    if not (_unit_a_ok(b, c, d) and _unit_a_ok(*after)):
+        concurrence_closed(measure_update(S3Coeffs(1.0, b, c, d), axis))
+        raise AssertionError(f"gain rejected t = {t!r}, which its pipeline accepts")
+    c_after = _closed_concurrence(after[0], after[1])
     return GainResult(
         t_star=t, delta_c=c_after - c_before, c_before=c_before, c_after=c_after
     )
@@ -448,12 +464,6 @@ def t_grid(n: int) -> np.ndarray:
     return np.append(np.fromiter(map(math.tan, thetas.tolist()), float, n - 1), math.inf)
 
 
-def _invalid_unit_a(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # Where S3Coeffs(1, b, c, d) or the window check of the scalar route raises.
-    dev = _norm_defect(1.0 + b + c + d)
-    return ~((dev <= COEFF_TOL) & _in_window(b * c + b * d + c * d))
-
-
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     """``(c_before, c_after)`` of ``gain(axis, t)`` for every ``t`` in ``ts``.
 
@@ -463,7 +473,8 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     coefficients, a + b + c + d = 1/2 and the [0, 1/12] window, before and
     after the channel). If any point fails, the first one is re-run through
     ``gain``, which raises its exact error. Worth it for grids: a batch of one
-    costs about ten scalar calls. ``maximize_gain`` searches only through it.
+    costs about seventeen scalar calls. ``maximize_gain`` searches only
+    through it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
@@ -478,7 +489,7 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
             for row, value in zip(point, point_at(x)):
                 row[mask] = value
     after = _channel(axis, b, c, d)
-    bad = _invalid_unit_a(b, c, d) | _invalid_unit_a(*after)
+    bad = ~(_unit_a_ok(b, c, d) & _unit_a_ok(*after))
     if bad.any():
         t_bad = float(ts.flat[np.argmax(bad)])
         gain(axis, t_bad)

@@ -48,17 +48,20 @@ def validate_density(m) -> DensityMatrix:
     Raises ``NotHermitian``, ``TraceNotOne`` or ``NotPSD`` with the measured
     violation magnitude; returns the validated wrapper otherwise. The trace
     is the diagonal sum ``(m00 + m11) + (m22 + m33)``, the pairwise order in
-    which ``m.trace()`` adds four entries, so it is the same number. A trace
-    defect within the rounding of the diagonal sum (4 eps max|m_ij|) is left
-    to the positivity check: entries that large which cancel to a wrong trace
-    leave a negative eigenvalue, so the matrix raises ``NotPSD``. A shape
-    other than (4, 4) raises ``PreconditionViolated`` and a NaN or infinite
-    entry raises ``NotHermitian``, both from ``herm_eigen``, whose docstring
-    gives their violations.
+    which ``m.trace()`` adds four entries, so it is the same number. It is
+    added as Python complex numbers, so an overflow gives inf or NaN and no
+    numpy warning. A trace defect within the rounding of the diagonal sum
+    (4 eps max|m_ij|) is left to the positivity check: entries that large
+    which cancel to a wrong trace leave a negative eigenvalue, so the matrix
+    raises ``NotPSD``. A shape other than (4, 4) raises
+    ``PreconditionViolated`` and a NaN or infinite entry raises
+    ``NotHermitian``, both from ``herm_eigen``, whose docstring gives their
+    violations.
     """
     m = np.asarray(m, dtype=complex)
     w, v = herm_eigen(m)
-    tr = (m[0, 0] + m[1, 1]) + (m[2, 2] + m[3, 3])
+    d0, d1, d2, d3 = m.diagonal().tolist()
+    tr = (d0 + d1) + (d2 + d3)
     tr_err = abs(tr.real - 1.0) + abs(tr.imag)
     if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
         raise TraceNotOne(

@@ -1,9 +1,11 @@
-"""The per-state kernel as written before its fast paths, and the inputs at their edges.
+"""The per-state kernel and ``gain`` before their fast paths, and inputs at their edges.
 
-``herm_eigen`` here takes the largest entry modulus on every call, and
-``validate_density`` takes the trace with ``m.trace()``. The boundary tables
-in ``test_linalg`` and ``test_twoqubit`` require the package to give the same
-bytes, or the same error with the same violation, on every input below.
+``herm_eigen`` here takes the largest entry modulus on every call,
+``validate_density`` takes the trace with ``m.trace()``, and ``gain`` runs the
+coefficient chain ``concurrence_closed(measure_update(t_param(t), axis))``.
+The boundary tables in ``test_linalg``, ``test_twoqubit`` and ``test_s3world``
+require the package to give the same bytes, or the same error with the same
+violation, on every input below.
 """
 
 import math
@@ -12,6 +14,9 @@ import numpy as np
 
 from sqw.errors import NotHermitian, NotPSD, TraceNotOne
 from sqw.linalg import _SCALE_ABOVE, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
+from sqw.s3world import (
+    GainResult, concurrence_closed, measure_update, pure_concurrence, t_param,
+)
 from sqw.twoqubit import DensityMatrix
 
 
@@ -58,6 +63,29 @@ def validate_density(m):
     for a in (out, w, v):
         a.setflags(write=False)
     return DensityMatrix(out, w, v)
+
+
+def gain(axis, t):
+    c_before = pure_concurrence(t)
+    c_after = concurrence_closed(measure_update(t_param(t), axis))
+    return GainResult(
+        t_star=t, delta_c=c_after - c_before, c_before=c_before, c_after=c_after
+    )
+
+
+def gain_outcome(f, axis, t):
+    """What ``f(axis, t)`` gives, comparable with ``==`` bit for bit.
+
+    A result becomes the type and hex bits of each field; an error becomes
+    its class, message and the type and hex bits of its ``violation``.
+    """
+    try:
+        result = f(axis, t)
+    except Exception as err:  # every class is compared, so none is let through
+        violation = getattr(err, "violation", None)
+        bits = None if violation is None else float(violation).hex()
+        return type(err), str(err), type(violation), bits
+    return tuple((type(x), float(x).hex()) for x in result)
 
 
 def outcome(f, m):

@@ -114,6 +114,20 @@ def test_state_not_normalized_exits_one(capsys):
     assert code == 1
 
 
+def test_state_json_error_is_one_json_line(capsys):
+    # The coefficient sum overflows: its violation is inf, written as text.
+    code, out, err = run(
+        capsys, "state", "--a", "1e308", "--b", "1e308", "--c", "0", "--d", "0",
+        "--format", "json",
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "error": "NormalizationViolated",
+        "message": "a + b + c + d differs from 1/2 by inf",
+        "violation": "inf",
+    }
+
+
 @pytest.mark.parametrize("big", ["1e155", "1e20"])
 def test_state_cancelling_coefficients_report_not_psd(capsys, big):
     # a + b + c + d = 1/2, but the assembled diagonal rounds the 0.5 away:
@@ -444,6 +458,10 @@ def test_usage_matches_golden_bytes(capsys, monkeypatch, name, argv, code):
                                 "--c", "0", "--d", "0"], 1),
         ("state_t_nan", ["state", "--t", "nan"], 2),
         ("measure_axis_h4", ["measure", "--axis", "h4", "--t", "0"], 2),
+        ("state_not_psd_json", ["state", "--b", "0.3", "--c", "0.3", "--d", "-1.1",
+                                "--format", "json"], 1),
+        ("measure_off_unit_a_json", ["measure", "--axis", "h2", "--a", "0.5", "--b", "0",
+                                     "--c", "0", "--d", "0", "--format", "json"], 1),
     ],
 )
 def test_error_matches_golden_bytes(capsys, monkeypatch, name, argv, code):

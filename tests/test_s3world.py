@@ -43,12 +43,14 @@ from sqw.s3world import (
     pure_vector,
     reduce_five_coeff,
     s3_spectrum,
+    swap_concurrence,
     t_grid,
     t_param,
 )
 from sqw.twoqubit import concurrence_oracle
 from sqw.xworld import XCoeffs
 
+import kernel_reference
 from draws import PLANE_U, PLANE_V, random_s3_coeffs
 
 AXES = tuple(MeasurementAxis)
@@ -384,6 +386,20 @@ def test_oracle_equals_min_rule_on_mixed_states():
         assert abs(oracle - 2 * min(abs(coeffs.d), root)) <= 1e-9
 
 
+def test_the_two_concurrences_differ_by_the_pair_sum():
+    # On the unit-a slice (1/2 + b)(1/2 + c) = d^2 + q, q = bc + bd + cd, and
+    # q >= 0 on the valid set: the verified form is 2|d| and the paper's
+    # form is 2 sqrt(d^2 + q).
+    rng = np.random.default_rng(89)
+    states = [random_s3_coeffs(rng) for _ in range(4000)]
+    states += [t_param(t) for t in t_grid(2001).tolist()] + [ie_state()]
+    for coeffs in states:
+        verified = swap_concurrence(coeffs)
+        assert abs(verified - 2 * abs(coeffs.d)) <= 1e-13
+        excess = concurrence_closed(coeffs) ** 2 - verified ** 2 - 4 * pair_sum(coeffs)
+        assert abs(excess) <= 1e-15
+
+
 def test_oracle_omegas_follow_root_formula():
     rng = np.random.default_rng(83)
     for _ in range(300):
@@ -512,6 +528,34 @@ def test_gain_curve_bit_identical_to_gain(axis, n):
     assert bits(c_before) == bits(r.c_before for r in scalar)
     assert bits(c_after) == bits(r.c_after for r in scalar)
     assert bits(c_after - c_before) == bits(r.delta_c for r in scalar)
+
+
+#: Zeros of both signs, the branch edge |t| = 1, the circle's symmetric
+#: point, large and tiny values, subnormals, overflow range and NaN.
+GAIN_EDGES = (
+    0.0, -0.0, 1.0, -1.0, -0.5, 1e8, -1e8, math.inf, -math.inf, 1e-300, 5e-324,
+    1e300, -1e300, 1.7e308, math.nan,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", AXES)
+def test_gain_equals_the_coefficient_chain(axis):
+    # The float bits of every field, or the error class, message and violation.
+    rng = np.random.default_rng(1701)
+    ts = t_grid(20001).tolist() + rng.standard_cauchy(20000).tolist() + list(GAIN_EDGES)
+    got = [kernel_reference.gain_outcome(gain, axis, t) for t in ts]
+    want = [kernel_reference.gain_outcome(kernel_reference.gain, axis, t) for t in ts]
+    assert got == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, error", [(0.37, TypeError), (math.nan, PreconditionViolated)])
+def test_gain_non_axis_errors_equal_the_coefficient_chain(t, error):
+    # A NaN t is rejected before the axis is looked at.
+    got = kernel_reference.gain_outcome(gain, "h1", t)
+    assert got == kernel_reference.gain_outcome(kernel_reference.gain, "h1", t)
+    assert got[0] is error
 
 
 @pytest.mark.parametrize("axis", AXES)

@@ -129,13 +129,36 @@ _EDGES = kernel_reference.boundary_matrices() + kernel_reference.trace_matrices(
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m", [m for _, m in _EDGES], ids=[name for name, _ in _EDGES])
-def test_validate_density_changes_nothing_at_the_edges(m):
+@pytest.mark.parametrize("name, m", _EDGES, ids=[name for name, _ in _EDGES])
+def test_validate_density_changes_nothing_at_the_edges(name, m):
     # The diagonal sum is m.trace()'s number: the same wrapper bytes, or the
-    # same error class and violation, as the unguarded body with m.trace().
-    assert kernel_reference.outcome(validate_density, m) == kernel_reference.outcome(
-        kernel_reference.validate_density, m
-    )
+    # same error class and violation bits, as the unguarded body with m.trace().
+    expected = kernel_reference.outcome(kernel_reference.validate_density, m)
+    if name == "trace overflows":
+        # m.trace() warns on the overflow; the sum of Python complex numbers
+        # gives inf without a warning, and so raises what m.trace() raises
+        # when its warning is silenced.
+        assert expected[0] is RuntimeWarning
+        with np.errstate(over="ignore"):
+            expected = kernel_reference.outcome(kernel_reference.validate_density, m)
+    if expected[0] is TraceNotOne:
+        # That sum also makes the violation a float, as NotPSD's already is,
+        # where m.trace() gives numpy.float64.
+        expected = (TraceNotOne, float, expected[2])
+    assert kernel_reference.outcome(validate_density, m) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "diagonal, error, violation",
+    [((1e308, 1e308, 0, 0), TraceNotOne, math.inf),
+     ((1e308, 1e308, -1e308, -1e308), NotPSD, 1e308)],
+    ids=["inf trace", "nan trace"],
+)
+def test_an_overflowing_trace_raises_invalid_state_not_a_warning(diagonal, error, violation):
+    with pytest.raises(error) as err:
+        validate_density(np.diag(np.array(diagonal, dtype=complex)))
+    assert type(err.value.violation) is float and err.value.violation == violation
 
 
 def test_decomposition_kept_read_only_and_rebuilds_the_matrix():
