@@ -24,7 +24,7 @@ _EXPORTS = {
     "report": ("CheckResult", "Report"),
     "twoqubit": (
         "ConcurrenceReport", "DensityMatrix", "concurrence_oracle",
-        "entanglement_of_formation", "purity", "spin_flip", "validate_density",
+        "entanglement_of_formation", "purity", "validate_density",
     ),
     "xworld": (
         "PureXClass", "XCoeffs", "assemble_x", "check_x_relations", "classify_pure_x",
@@ -34,7 +34,7 @@ _EXPORTS = {
         "GainResult", "MeasurementAxis", "S3Coeffs", "assemble_s3", "check_s3_relations",
         "concurrence_closed", "gain", "gain_closed_form", "gain_curve", "ie_checks",
         "ie_reach", "ie_state", "is_pure", "maximize_gain", "mean_values",
-        "measure_update", "measure_update_matrix", "pure_vector", "reduce_five_coeff",
+        "measure_update", "measure_update_matrix", "reduce_five_coeff",
         "s3_spectrum", "swap_concurrence", "t_grid", "t_param",
     ),
     "permworld": (

@@ -42,8 +42,6 @@ PURE_TOL = 1e-9
 COEFF_TOL = 1e-12
 #: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
 REACH_PSD_TOL = 1e-10
-#: Smallest component magnitude that ``pure_vector`` fixes the phase on.
-PHASE_TOL = 1e-8
 
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 #: ``herm_eigen`` skips its finite and scale checks up to this sum of squares.

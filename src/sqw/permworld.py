@@ -8,6 +8,7 @@ and cycle observables of the restricted two-qubit family.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,14 +30,16 @@ class Perm4(_Images):
     Composition is left-to-right: ``(p * q)(i) == q(p(i))``, which makes
     ``perm_matrix`` a homomorphism under ordinary matrix multiplication. A
     NamedTuple of one field, so permutations sort by their images; the
-    constructor, and ``_make`` and ``_replace`` through it, reject a tuple
-    that is not a permutation.
+    constructor, and ``_make`` and ``_replace`` through it, store the images
+    as a tuple of ints, raise ``TypeError`` for an image that is not an
+    integer and ``ValueError`` for images that are not a permutation.
     """
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, images: tuple[int, int, int, int]):
+        images = tuple(map(operator.index, images))
         if sorted(images) != list(POINTS):
             raise ValueError(f"not a permutation of 1..4: {images}")
         return tuple.__new__(cls, (images,))
@@ -73,10 +76,6 @@ class Subgroup(tuple):
     """A subgroup as its sorted element tuple (canonical identity)."""
 
     __slots__ = ()
-
-    @property
-    def elements(self) -> tuple[Perm4, ...]:
-        return tuple(self)
 
     @property
     def order(self) -> int:
@@ -131,7 +130,8 @@ def enumerate_subgroups() -> tuple[Subgroup, ...]:
 
 
 def stabilizer(point: int) -> Subgroup:
-    """The six permutations fixing one point."""
+    """The six permutations fixing one point; a non-integer raises ``TypeError``."""
+    point = operator.index(point)
     if point not in POINTS:
         raise ValueError(f"point must be in 1..4, got {point}")
     return Subgroup(

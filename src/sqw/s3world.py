@@ -26,8 +26,7 @@ from .errors import (
     _validated_make, reject_non_finite,
 )
 from .linalg import (
-    COEFF_TOL, PHASE_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, _as_mat4, herm_eigen,
-    locked,
+    COEFF_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, _as_mat4, herm_eigen, locked,
 )
 from .report import CheckResult, Report, exact
 
@@ -267,23 +266,6 @@ def t_param(t: float) -> S3Coeffs:
     return S3Coeffs(1.0, b, c, d)
 
 
-def pure_vector(t: float) -> Vec4:
-    """Unit eigenvector of the pure state at parameter ``t``.
-
-    Defined operationally as the top eigenvector of the assembled matrix,
-    with the global phase fixed so the first component of magnitude above
-    ``PHASE_TOL`` is real and positive.
-    """
-    rho = assemble_s3(t_param(t))
-    _, vecs = herm_eigen(rho)
-    psi = vecs[:, 3].copy()
-    for x in psi:
-        if abs(x) > PHASE_TOL:
-            psi *= x.conjugate() / abs(x)
-            break
-    return psi
-
-
 def mean_values(coeffs: S3Coeffs) -> MeanValues:
     """Shifted swap expectations A_i = <H_i> - 1 and R = A1^2 + A2^2 + A3^2.
 
@@ -292,12 +274,12 @@ def mean_values(coeffs: S3Coeffs) -> MeanValues:
     where R would exceed 9/2, raises ``OutsideValidityWindow``.
     """
     _require_unit_a_state(coeffs)
-    rho = assemble_s3(coeffs).real.tolist()
-    # tr(rho H) is the sum of rho[k, p[k]], added in np.trace's pairwise order.
-    a1, a2, a3 = (
-        (rho[0][p[0]] + rho[1][p[1]]) + (rho[2][p[2]] + rho[3][p[3]]) - 1.0
-        for p in _SWAP_PERM.values()
-    )
+    # tr(rho H): the four entries of assemble_s3 that H picks, in np.trace's pairwise order.
+    h, b, c, d = coeffs.a / 2, coeffs.b, coeffs.c, coeffs.d
+    last = h + b + c + d
+    a1 = (b + b) + ((h + b) + last) - 1.0
+    a2 = (c + (h + c)) + (c + last) - 1.0
+    a3 = ((h + d) + d) + (d + last) - 1.0
     return MeanValues(a1, a2, a3, a1 * a1 + a2 * a2 + a3 * a3)
 
 

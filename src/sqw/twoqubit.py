@@ -88,11 +88,6 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def spin_flip(rho) -> Mat4:
-    """The spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _FLIP_SIGN * _as_density(rho).m.conj()[::-1, ::-1] * _FLIP_SIGN.T
-
-
 def entanglement_of_formation(concurrence: float) -> float:
     """Binary-entropy function of the concurrence, in bits, clamped to [0, 1].
 

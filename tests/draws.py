@@ -1,7 +1,7 @@
-"""Seeded draws of valid states for the tests.
+"""Seeded draws of valid states, and the compactified t-grid, for the tests.
 
-Each function reads the generator in a fixed order, so a seed always gives
-the same states.
+Each draw reads the generator in a fixed order, so a seed always gives the
+same states.
 """
 
 import math
@@ -16,6 +16,13 @@ PLANE_U = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
 PLANE_V = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 _DISK_RADIUS = math.sqrt(1.0 / 6.0)
 _CENTER = np.array([-1.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0])
+
+
+def theta_grid(n):
+    """n points of the compactified parameter, the last one at infinity."""
+    for k in range(1, n + 1):
+        theta = (k / n) * math.pi - math.pi / 2
+        yield math.inf if k == n else math.tan(theta)
 
 
 def random_s3_coeffs(rng: np.random.Generator) -> S3Coeffs:

@@ -18,7 +18,7 @@ from sqw import permworld, s3world, twoqubit, xworld
 from sqw.linalg import herm_eigen
 from sqw.s3world import MeasurementAxis
 
-from draws import random_s3_coeffs, random_x_coeffs
+from draws import random_s3_coeffs, random_x_coeffs, theta_grid
 
 AXES = tuple(MeasurementAxis)
 
@@ -27,12 +27,6 @@ def _line(number: int, name: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {number} [{name}]: {status}{suffix}")
-
-
-def _t_grid(n: int):
-    for k in range(1, n + 1):
-        theta = (k / n) * math.pi - math.pi / 2
-        yield math.inf if k == n else math.tan(theta)
 
 
 def test_criterion_1_algebra_exactness():
@@ -75,7 +69,7 @@ def test_criterion_2_spectrum_equivalence():
 
 def test_criterion_3_concurrence_equivalence():
     dev_pure = 0.0
-    for t in _t_grid(1000):
+    for t in theta_grid(1000):
         closed = s3world.concurrence_closed(s3world.t_param(t))
         dev_pure = max(dev_pure, abs(closed - s3world.pure_concurrence(t)))
 
@@ -150,7 +144,7 @@ def test_criterion_5_irreducible_entangled_state():
 
 def test_criterion_6_purity_criterion():
     dev = 0.0
-    for t in _t_grid(1000):
+    for t in theta_grid(1000):
         dev = max(dev, abs(s3world.mean_values(s3world.t_param(t)).r - 4.5))
     r_ie = s3world.mean_values(s3world.ie_state()).r
     ok = dev <= 1e-10 and r_ie < 4.5 - 1e-3

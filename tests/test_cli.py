@@ -14,6 +14,8 @@ from sqw.cli import main
 from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, gain
 
+from draws import theta_grid
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -280,8 +282,7 @@ def test_sweep_csv_rows_match_scalar_gain(capsys, tmp_path, axis):
     code, _, _ = run(capsys, "sweep", "--axis", axis, "--points", "101", "--out", str(out_path))
     assert code == 0
     expected = []
-    for k in range(1, 102):
-        t = math.inf if k == 101 else math.tan((k / 101) * math.pi - math.pi / 2)
+    for t in theta_grid(101):
         r = gain(MeasurementAxis(axis), t)
         t_text = "inf" if math.isinf(t) else f"{t:.12g}"
         expected.append(f"{t_text},{r.c_before:.12g},{r.c_after:.12g},{r.delta_c:.12g}")

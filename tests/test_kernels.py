@@ -1,14 +1,14 @@
 """Each index-map kernel against the constant-matrix form it replaces.
 
 ``assemble_s3`` and ``assemble_x`` place their entries, ``measure_update_matrix``
-swaps rows and columns, ``mean_values`` reads four entries per swap, and the
-spin flip reverses rows with signs, instead of multiplying by the constant
-matrices. They must give the same numbers as the matrix forms kept here,
-compared with ``==``, under which only the signs of zeros may differ. The
-inputs are seeded draws of valid states plus zeros of both signs, subnormals
-and +-1e155, whose squares are close to overflow. ``DensityMatrix`` is built
-directly where an input is not a valid state: the spin flip reads only
-``.m`` and the oracle only the decomposition.
+swaps rows and columns, the oracle's spin flip reverses rows with signs, and
+``mean_values`` adds the entries that ``assemble_s3`` places, instead of
+multiplying by the constant matrices. They must give the same numbers as the
+matrix forms kept here, compared with ``==``, under which only the signs of
+zeros may differ. The inputs are seeded draws of valid states plus zeros of
+both signs, subnormals and +-1e155, whose squares are close to overflow.
+``DensityMatrix`` is built directly where an input is not a valid state: the
+oracle reads only the decomposition.
 """
 
 import itertools
@@ -22,9 +22,7 @@ from sqw.s3world import (
     CASIMIR, H1, H2, H3, KERNEL_VECTORS, MeasurementAxis, assemble_s3, ie_state, mean_values,
     measure_update_matrix, t_param,
 )
-from sqw.twoqubit import (
-    _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle, spin_flip,
-)
+from sqw.twoqubit import _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
 from draws import random_s3_coeffs, random_x_coeffs
@@ -97,13 +95,6 @@ def test_mean_values_are_the_traces_of_the_swap_products():
         a = [float(np.trace(rho @ h).real) - 1.0 for h in (H1, H2, H3)]
         matmul_form = np.array(a + [a[0] * a[0] + a[1] * a[1] + a[2] * a[2]])
         assert np.array(mean_values(k)).tobytes() == matmul_form.tobytes()
-
-
-def test_spin_flip_is_the_conjugation_by_sigma_y_sigma_y():
-    rng = np.random.default_rng(109)
-    for m in _valid_matrices(rng, 200) + _edge_matrices(rng, 500):
-        expected = SPIN_FLIP_OP @ m.conj() @ SPIN_FLIP_OP
-        assert np.array_equal(spin_flip(DensityMatrix(m, None, None)), expected)
 
 
 def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():

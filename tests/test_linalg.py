@@ -176,3 +176,13 @@ def test_only_linalg_binds_a_tolerance():
                 continue
             offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.endswith("_TOL")]
     assert offenders == []
+
+
+def test_readme_tolerance_table_is_the_linalg_table():
+    # One row per *_TOL name that linalg binds, with its value: no stale or missing row.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| Name | Value |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = {name.strip().strip("`"): float(value) for name, value in rows}
+    bound = {name: value for name, value in vars(linalg).items() if name.endswith("_TOL")}
+    assert documented == bound

@@ -82,7 +82,7 @@ def test_generate_matches_perm4_closure():
     elements = all_elements()
     sets = [()] + [(g,) for g in elements] + list(itertools.combinations(elements, 2))
     for gens in sets:
-        assert generate(gens).elements == _perm_closure(gens)
+        assert tuple(generate(gens)) == _perm_closure(gens)
 
 
 def test_stabilizers():
@@ -94,6 +94,13 @@ def test_stabilizers():
     assert stabilizer(4) in enumerate_subgroups()
     with pytest.raises(ValueError):
         stabilizer(5)
+
+
+def test_stabilizer_and_generate_read_integer_input():
+    assert stabilizer(np.int64(4)) == stabilizer(4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        stabilizer(4.0)
+    assert generate([Perm4([2, 1, 3, 4])]) == generate((Perm4((2, 1, 3, 4)),))
 
 
 def test_stabilizer_of_four_realizes_the_generator_set():

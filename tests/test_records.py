@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sqw.errors import InvalidState
-from sqw.permworld import Perm4, stabilizer
+from sqw.permworld import IDENTITY, Perm4, stabilizer
 from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, S3Coeffs, assemble_s3, gain, mean_values
 from sqw.twoqubit import concurrence_oracle, validate_density
@@ -44,7 +44,7 @@ RECORDS = _records()
 #: Attributes that are not NamedTuple fields.
 PROPERTIES = {
     "XCoeffs": ("p_norm", "s_norm"), "Report": ("all_pass",),
-    "Subgroup": ("elements", "order"),
+    "Subgroup": ("order",),
 }
 
 
@@ -82,7 +82,7 @@ def test_pickle_round_trip(name):
 def test_records_compare_equal_to_plain_tuples():
     assert S3Coeffs(1.0, -0.5, 0.0, 0.0) == (1.0, -0.5, 0.0, 0.0)
     assert RECORDS["Perm4"] == ((2, 3, 1, 4),)
-    assert RECORDS["Subgroup"] == RECORDS["Subgroup"].elements
+    assert RECORDS["Subgroup"] == tuple(RECORDS["Subgroup"])
     assert RECORDS["Report"].all_pass is False and Report().all_pass is True
 
 
@@ -132,4 +132,26 @@ def test_perm4_keeps_its_sort_order_and_operations():
     assert (p * q).images == (3, 1, 2, 4) and p.inverse() == p and (p * q).order() == 3
     stab = stabilizer(4)
     assert stab.order == len(stab) == 6 and p in stab
-    assert list(stab) == sorted(stab.elements)
+    assert list(stab) == sorted(stab)
+
+
+def test_perm4_stores_its_images_as_a_tuple_of_ints():
+    # Whatever sequence holds the images, the record holds a tuple of ints: it hashes
+    # and compares like the tuple form, so generate() and sets accept it.
+    p = Perm4((2, 1, 3, 4))
+    for q in (
+        Perm4([2, 1, 3, 4]), Perm4(np.array([2, 1, 3, 4])), Perm4((np.int64(2), 1, 3, 4)),
+        IDENTITY._replace(images=[2, 1, 3, 4]), Perm4._make([[2, 1, 3, 4]]),
+    ):
+        assert type(q) is Perm4 and q == p and hash(q) == hash(p)
+        assert type(q.images) is tuple and all(type(i) is int for i in q.images)
+
+
+@pytest.mark.parametrize("images", [(1.0, 2, 3, 4), (2, 1, 3, 4.5), "1234", (1, 2, 3, None)])
+def test_perm4_rejects_non_integer_images(images):
+    for build in (
+        lambda: Perm4(images), lambda: IDENTITY._replace(images=images),
+        lambda: Perm4._make([images]),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()

@@ -40,7 +40,6 @@ from sqw.s3world import (
     measure_update_matrix,
     pair_sum,
     pure_concurrence,
-    pure_vector,
     reduce_five_coeff,
     s3_spectrum,
     swap_concurrence,
@@ -51,16 +50,9 @@ from sqw.twoqubit import concurrence_oracle
 from sqw.xworld import XCoeffs
 
 import kernel_reference
-from draws import PLANE_U, PLANE_V, random_s3_coeffs
+from draws import PLANE_U, PLANE_V, random_s3_coeffs, theta_grid
 
 AXES = tuple(MeasurementAxis)
-
-
-def theta_grid(n):
-    """n points of the compactified parameter, the last one at infinity."""
-    for k in range(1, n + 1):
-        theta = (k / n) * math.pi - math.pi / 2
-        yield math.inf if k == n else math.tan(theta)
 
 
 def bits(xs):
@@ -199,10 +191,6 @@ def test_pure_circle_identities():
         assert abs(coeffs.b + coeffs.c + coeffs.d + 0.5) <= 1e-12
         assert abs(coeffs.b**2 + coeffs.c**2 + coeffs.d**2 - 0.25) <= 1e-12
         assert mean_values(coeffs).r == pytest.approx(4.5, abs=1e-10)
-        psi = pure_vector(t)
-        np.testing.assert_allclose(
-            np.outer(psi, psi.conj()), assemble_s3(coeffs), atol=1e-10
-        )
 
 
 def _ulps_from(x, k):
@@ -286,7 +274,6 @@ def test_every_parameter_formula_rejects_nan(axis):
         (pure_concurrence, (nan,), 1),
         (lambda t: gain(axis, t), (nan,), 1),
         (lambda t: gain_closed_form(axis, t), (nan,), 1),
-        (pure_vector, (nan,), 1),
         (S3Coeffs, (nan, 0.0, inf, -inf), 3),
         (lambda e, *v: XCoeffs(e, v[:3], v[3:]), (0.0, nan, 0.0, 0.0, inf, 0.0, nan), 3),
         (ie_reach, (nan, 0.0), 1),
@@ -297,18 +284,17 @@ def test_every_parameter_formula_rejects_nan(axis):
         assert err.value.violation == count
 
 
+def _projector(v):
+    v = np.array(v, dtype=float)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v)
+
+
 def test_pure_vector_matches_rational_form():
-    for t in theta_grid(200):
-        if math.isinf(t):
-            expected = np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2)
-        else:
-            expected = np.array([1 + t, -t, -1, 0], dtype=complex)
-            expected /= np.linalg.norm(expected)
-            for x in expected:
-                if abs(x) > 1e-8:
-                    expected *= np.sign(x.real)
-                    break
-        np.testing.assert_allclose(pure_vector(t), expected, atol=1e-10)
+    # The pure state at t projects on (1 + t, -t, -1, 0), and at infinity on (1, -1, 0, 0).
+    for t in (*theta_grid(200), 0.0, -1.0, math.inf):
+        v = (1, -1, 0, 0) if math.isinf(t) else (1 + t, -t, -1, 0)
+        np.testing.assert_allclose(assemble_s3(t_param(t)), _projector(v), atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +306,7 @@ def test_pure_vector_matches_rational_form():
     ],
 )
 def test_pure_vector_named_points(t, expected):
-    np.testing.assert_allclose(pure_vector(t), expected.astype(complex), atol=1e-10)
+    np.testing.assert_allclose(assemble_s3(t_param(t)), _projector(expected), atol=1e-10)
 
 
 def test_t_param_covers_the_pure_circle():

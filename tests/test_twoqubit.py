@@ -11,7 +11,6 @@ from sqw.twoqubit import (
     concurrence_oracle,
     entanglement_of_formation,
     purity,
-    spin_flip,
     validate_density,
 )
 
@@ -184,28 +183,6 @@ def test_purity_values():
     proj = np.outer(BELL, BELL.conj())
     assert purity(proj) == pytest.approx(1.0, abs=1e-12)
     assert purity(SYMMETRIC_MIXED) == pytest.approx(0.5, abs=1e-12)
-
-
-# ---- spin flip ----
-
-def test_spin_flip_fixes_maximally_mixed():
-    m = np.eye(4, dtype=complex) / 4
-    assert np.array_equal(spin_flip(m), m)
-
-
-def test_spin_flip_swaps_corner_projectors():
-    p00 = np.zeros((4, 4), dtype=complex)
-    p00[0, 0] = 1
-    p11 = np.zeros((4, 4), dtype=complex)
-    p11[3, 3] = 1
-    assert np.array_equal(spin_flip(p00), p11)
-
-
-def test_spin_flip_involution_exact():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        rho = random_density(rng)
-        assert np.array_equal(spin_flip(validate_density(spin_flip(rho))), rho)
 
 
 # ---- concurrence oracle ----
