@@ -21,21 +21,19 @@ _EXPORTS = {
         "OutsideValidityWindow", "PreconditionViolated", "TraceNotOne",
     ),
     "linalg": ("herm_eigen",),
-    "report": ("CheckResult", "Report"),
+    "report": (
+        "CheckResult", "Report", "check_s3_relations", "check_x_relations", "ie_checks",
+    ),
     "twoqubit": (
         "ConcurrenceReport", "DensityMatrix", "concurrence_oracle",
         "entanglement_of_formation", "purity", "validate_density",
     ),
-    "xworld": (
-        "PureXClass", "XCoeffs", "assemble_x", "check_x_relations", "classify_pure_x",
-        "x_spectrum",
-    ),
+    "xworld": ("PureXClass", "XCoeffs", "assemble_x", "classify_pure_x", "x_spectrum"),
     "s3world": (
-        "GainResult", "MeasurementAxis", "S3Coeffs", "assemble_s3", "check_s3_relations",
-        "concurrence_closed", "gain", "gain_closed_form", "gain_curve", "ie_checks",
-        "ie_reach", "ie_state", "is_pure", "maximize_gain", "mean_values",
-        "measure_update", "measure_update_matrix", "reduce_five_coeff",
-        "s3_spectrum", "swap_concurrence", "t_grid", "t_param",
+        "GainResult", "MeasurementAxis", "S3Coeffs", "assemble_s3", "concurrence_closed",
+        "gain", "gain_closed_form", "gain_curve", "ie_reach", "ie_state", "is_pure",
+        "maximize_gain", "mean_values", "measure_update", "measure_update_matrix",
+        "reduce_five_coeff", "s3_spectrum", "swap_concurrence", "t_grid", "t_param",
     ),
     "permworld": (
         "Perm4", "Subgroup", "classify", "enumerate_subgroups", "generate",

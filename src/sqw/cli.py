@@ -19,22 +19,13 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .errors import InvalidState
 from .linalg import PURE_TOL
-from .report import CheckResult, Report
+from .report import SUITES
 from .s3world import (
-    A,
-    B,
-    H1,
-    H2,
-    H3,
-    UNIT,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
-    check_s3_relations,
     concurrence_closed,
     gain_curve,
     ie_state,
@@ -176,45 +167,8 @@ def _coeffs_from_args(args) -> S3Coeffs:
     return S3Coeffs(a, args.b, args.c, args.d)
 
 
-def _s4_report() -> tuple[Report, dict]:
-    from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
-
-    subgroups = enumerate_subgroups()
-    order6 = [s for s in subgroups if s.order == 6]
-    generator_set = {
-        m.real.astype(np.int8).tobytes() for m in (UNIT, H1, H2, H3, A, B)
-    }
-    stab_set = {
-        perm_matrix(p).real.astype(np.int8).tobytes() for p in stabilizer(4)
-    }
-    checks = (
-        CheckResult("subgroup count = 30", len(subgroups) == 30),
-        CheckResult("order-6 subgroup count = 4", len(order6) == 4),
-        CheckResult(
-            "every order-6 subgroup is S3",
-            all(classify(s) == "S3" for s in order6),
-        ),
-        CheckResult(
-            "stabilizer(4) matrices = generator set", stab_set == generator_set
-        ),
-        CheckResult(
-            "every subgroup order divides 24",
-            all(24 % s.order == 0 for s in subgroups),
-        ),
-    )
-    extra = {"subgroup_count": len(subgroups), "order6_count": len(order6)}
-    return Report(checks), extra
-
-
 def _cmd_check(args) -> int:
-    if args.world == "x":
-        from .xworld import check_x_relations
-
-        report, extra = check_x_relations(), {}
-    elif args.world == "s3":
-        report, extra = check_s3_relations(), {}
-    else:
-        report, extra = _s4_report()
+    report, extra = SUITES[args.world]()
     if args.format == "json":
         checks = [c._asdict() for c in report]
         payload = {"world": args.world, "all_pass": report.all_pass, **extra, "checks": checks}
@@ -303,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     axes = [axis.value for axis in MeasurementAxis]
 
     p_check = sub.add_parser("check", help="verify generator algebras / group facts")
-    p_check.add_argument("world", choices=["x", "s3", "s4"])
+    p_check.add_argument("world", choices=list(SUITES))
     p_check.add_argument("--format", choices=["text", "json"], default="text")
 
     p_state = sub.add_parser("state", help="analyze one state of the swap family")

@@ -50,7 +50,12 @@ _SCALE_ABOVE = 1e150
 
 def _as_mat4(m) -> Mat4:
     # The package's one shape rule for matrices; see herm_eigen.
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except ValueError:  # ragged rows, say: no shape to measure a gap on
+        raise PreconditionViolated(
+            "matrix must be 4x4, got an array-like numpy cannot read", violation=math.inf
+        ) from None
     if m.shape != (4, 4):
         gap = sum(abs(n - 4) for n in m.shape) + 4 * abs(m.ndim - 2)
         raise PreconditionViolated(
@@ -67,12 +72,13 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     result is deterministic for identical input. ``m`` may be any array-like,
     read as complex. A shape other than (4, 4) raises ``PreconditionViolated``
     whose violation is the sum of each axis length's gap to 4, plus 4 per
-    missing or extra axis. Raises ``NotHermitian`` for any NaN or infinite
-    entry, with the number of non-finite entries as the violation, and when
-    the Hermiticity defect ``||m - m^dagger||_F``
-    exceeds ``HERMITIAN_TOL``. With entries above 1e150 the defect is taken
-    on a rescaled copy and scaled back as a Python float, so it never
-    overflows a numpy operation; at worst it is inf.
+    missing or extra axis; an array-like that numpy cannot read as one complex
+    array, such as ragged rows, raises it with violation inf. Raises
+    ``NotHermitian`` for any NaN or infinite entry, with the number of
+    non-finite entries as the violation, and when the Hermiticity defect
+    ``||m - m^dagger||_F`` exceeds ``HERMITIAN_TOL``. With entries above
+    1e150 the defect is taken on a rescaled copy and scaled back as a Python
+    float, so it never overflows a numpy operation; at worst it is inf.
 
     The finite and scale checks are skipped when the sum of squared moduli,
     ``np.vdot(m, m).real``, is at most 1e150. Every entry is then finite and

@@ -1,10 +1,23 @@
-"""Pass/fail reports for algebraic identity suites."""
+"""Pass/fail reports, and every suite of exact facts that ``sqw check`` runs.
+
+The suites check the X product table, the S3 product table, the symmetric
+mixed state's invariances and the S4 subgroup facts. ``SUITES`` maps each
+``sqw check`` world to its suite. ``xworld`` and ``permworld`` are imported
+only inside the suites that use them, so each command loads the modules it
+runs; the formula modules do not import this one.
+"""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import COEFF_TOL, UNIT
+from .s3world import (
+    CASIMIR, WINDOW_MAX, A, B, H1, H2, H3, MeasurementAxis, assemble_s3,
+    concurrence_closed, ie_state, measure_update, pair_sum,
+)
 
 
 class CheckResult(NamedTuple):
@@ -31,3 +44,123 @@ def exact(name: str, lhs, rhs) -> CheckResult:
     """
     passed = bool(np.array_equal(lhs, rhs))
     return CheckResult(name, passed, float(np.abs(lhs - rhs).max()))
+
+
+def _levi_civita(i: int, j: int, k: int) -> int:
+    return int(np.sign((j - i) * (k - i) * (k - j)))
+
+
+def check_x_relations() -> Report:
+    """Verify the full product table of the eight X-state generators, exactly.
+
+    All generators have entries in {0, +-1, +-i}, so every identity holds
+    with exact floating-point equality; any discrepancy is reported as a
+    failed check rather than an exception.
+    """
+    from .xworld import LAMBDA, TAU, E
+
+    cases = []
+    half_plus = (UNIT + E) / 2
+    half_minus = (UNIT - E) / 2
+    zero = np.zeros((4, 4), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            eps_term = sum(1j * _levi_civita(i, j, k) * LAMBDA[k] for k in range(3))
+            rhs = (half_plus if i == j else zero) + eps_term
+            cases.append((f"lam{i+1}*lam{j+1}", LAMBDA[i] @ LAMBDA[j], rhs))
+            eps_term = sum(1j * _levi_civita(i, j, k) * TAU[k] for k in range(3))
+            rhs = (half_minus if i == j else zero) + eps_term
+            cases.append((f"tau{i+1}*tau{j+1}", TAU[i] @ TAU[j], rhs))
+            cases.append((f"lam{i+1}*tau{j+1} = 0", LAMBDA[i] @ TAU[j], zero))
+            cases.append((f"tau{j+1}*lam{i+1} = 0", TAU[j] @ LAMBDA[i], zero))
+    for i in range(3):
+        cases.append((f"E*lam{i+1} = lam{i+1}", E @ LAMBDA[i], LAMBDA[i]))
+        cases.append((f"lam{i+1}*E = lam{i+1}", LAMBDA[i] @ E, LAMBDA[i]))
+        cases.append((f"E*tau{i+1} = -tau{i+1}", E @ TAU[i], -TAU[i]))
+        cases.append((f"tau{i+1}*E = -tau{i+1}", TAU[i] @ E, -TAU[i]))
+    return Report(tuple(exact(*case) for case in cases))
+
+
+_GENERATORS = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
+#: The 25 products x*y = z of the S3 generator table, with "1" the identity.
+_PRODUCTS = (
+    ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
+    ("H1", "H2", "A"), ("H2", "H3", "A"), ("H3", "H1", "A"),
+    ("H1", "H3", "B"), ("H2", "H1", "B"), ("H3", "H2", "B"),
+    ("H1", "A", "H2"), ("H2", "A", "H3"), ("H3", "A", "H1"),
+    ("A", "H1", "H3"), ("A", "H2", "H1"), ("A", "H3", "H2"),
+    ("H1", "B", "H3"), ("H2", "B", "H1"), ("H3", "B", "H2"),
+    ("B", "H1", "H2"), ("B", "H2", "H3"), ("B", "H3", "H1"),
+    ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
+)
+
+
+def check_s3_relations() -> Report:
+    """Verify the full S3 generator product table with exact equality."""
+    symbols = {"1": UNIT, **_GENERATORS}
+    zero = np.zeros((4, 4), complex)
+    checks = [
+        exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z])
+        for x, y, z in _PRODUCTS
+    ]
+    checks.append(exact("A = adjoint(B)", A, B.conj().T))
+    checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
+    for name, g in _GENERATORS.items():
+        checks.append(exact(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, zero))
+    return Report(tuple(checks))
+
+
+def ie_checks() -> Report:
+    """Verify the defining properties of the symmetric mixed state.
+
+    Validity on the window boundary, coefficient-level concurrence 2/3,
+    exact fixed point of all three measurement channels, exact commutation
+    with all five generators, and exact invariance under conjugation by the
+    cyclic shifts.
+    """
+    state = ie_state()
+    rho = assemble_s3(state)
+    q_dev = abs(pair_sum(state) - WINDOW_MAX)
+    c_dev = abs(concurrence_closed(state) - 2.0 / 3.0)
+    checks = [
+        CheckResult("pair sum on window boundary 1/12", q_dev <= COEFF_TOL, q_dev),
+        CheckResult("closed-form concurrence = 2/3", c_dev <= COEFF_TOL, c_dev),
+    ]
+    for axis in MeasurementAxis:
+        fixed = measure_update(state, axis) == state
+        checks.append(CheckResult(f"fixed point of {axis.value} channel", fixed))
+    zero = np.zeros((4, 4), complex)
+    for name, g in _GENERATORS.items():
+        checks.append(exact(f"[rho, {name}] = 0 exactly", rho @ g - g @ rho, zero))
+    for name, g in (("A", A), ("B", B)):
+        conj = g @ rho @ g.conj().T
+        checks.append(exact(f"{name} rho {name}^dagger = rho exactly", conj, rho))
+    return Report(tuple(checks))
+
+
+def _s4_checks() -> tuple[Report, dict]:
+    # The subgroup facts of S4, and the two counts printed beside them.
+    from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
+
+    subgroups = enumerate_subgroups()
+    order6 = [s for s in subgroups if s.order == 6]
+    generator_set = {m.real.astype(np.int8).tobytes() for m in (UNIT, *_GENERATORS.values())}
+    stab_set = {perm_matrix(p).real.astype(np.int8).tobytes() for p in stabilizer(4)}
+    checks = (
+        CheckResult("subgroup count = 30", len(subgroups) == 30),
+        CheckResult("order-6 subgroup count = 4", len(order6) == 4),
+        CheckResult("every order-6 subgroup is S3", all(classify(s) == "S3" for s in order6)),
+        CheckResult("stabilizer(4) matrices = generator set", stab_set == generator_set),
+        CheckResult("every subgroup order divides 24", all(24 % s.order == 0 for s in subgroups)),
+    )
+    extra = {"subgroup_count": len(subgroups), "order6_count": len(order6)}
+    return Report(checks), extra
+
+
+#: ``sqw check <world>``: a suite returning ``(Report, extra)``, with ``extra``
+#: the figures printed beside the checks. The lambdas look their suite up per call.
+SUITES = {
+    "x": lambda: (check_x_relations(), {}),
+    "s3": lambda: (check_s3_relations(), {}),
+    "s4": _s4_checks,
+}

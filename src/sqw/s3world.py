@@ -25,10 +25,7 @@ from .errors import (
     NormalizationViolated, NotPSD, OutsideValidityWindow, PreconditionViolated,
     _validated_make, reject_non_finite,
 )
-from .linalg import (
-    COEFF_TOL, PURE_TOL, REACH_PSD_TOL, UNIT, Mat4, Vec4, _as_mat4, herm_eigen, locked,
-)
-from .report import CheckResult, Report, exact
+from .linalg import COEFF_TOL, PURE_TOL, REACH_PSD_TOL, Mat4, _as_mat4, herm_eigen, locked
 
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
@@ -43,24 +40,6 @@ A = locked([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
 B = locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 #: H1 + H2 + H3, which commutes with all five generators.
 CASIMIR = locked([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 3]])
-_GENERATORS = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
-#: The 25 products x*y = z of the generator table, with "1" the identity.
-_PRODUCTS = (
-    ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
-    ("H1", "H2", "A"), ("H2", "H3", "A"), ("H3", "H1", "A"),
-    ("H1", "H3", "B"), ("H2", "H1", "B"), ("H3", "H2", "B"),
-    ("H1", "A", "H2"), ("H2", "A", "H3"), ("H3", "A", "H1"),
-    ("A", "H1", "H3"), ("A", "H2", "H1"), ("A", "H3", "H2"),
-    ("H1", "B", "H3"), ("H2", "B", "H1"), ("H3", "B", "H2"),
-    ("B", "H1", "H2"), ("B", "H2", "H3"), ("B", "H3", "H1"),
-    ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
-)
-
-_ROOT_THIRD = 1.0 / math.sqrt(3.0)
-#: Null vectors shared by every unit-``a`` state: e4 and (1, 1, 1, 0)/sqrt(3).
-KERNEL_VECTORS: tuple[Vec4, Vec4] = (
-    locked([0, 0, 0, 1]), locked([_ROOT_THIRD, _ROOT_THIRD, _ROOT_THIRD, 0])
-)
 
 
 def _norm_defect(total):
@@ -168,21 +147,6 @@ def _require_unit_a_state(coeffs: S3Coeffs) -> float:
     return q
 
 
-def check_s3_relations() -> Report:
-    """Verify the full generator product table with exact equality."""
-    symbols = {"1": UNIT, **_GENERATORS}
-    zero = np.zeros((4, 4), complex)
-    checks = [
-        exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z])
-        for x, y, z in _PRODUCTS
-    ]
-    checks.append(exact("A = adjoint(B)", A, B.conj().T))
-    checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
-    for name, g in _GENERATORS.items():
-        checks.append(exact(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, zero))
-    return Report(tuple(checks))
-
-
 def reduce_five_coeff(k: float, l: float, m: float, n: float, p: float) -> S3Coeffs:
     """Fold the redundant five-coefficient form into four coefficients.
 
@@ -212,8 +176,9 @@ def assemble_s3(coeffs: S3Coeffs) -> Mat4:
 def s3_spectrum(coeffs: S3Coeffs) -> tuple[float, float, float, float]:
     """Closed-form eigenvalues of a unit-``a`` state, ascending.
 
-    Two eigenvalues vanish identically (see ``KERNEL_VECTORS``); the other
-    two are the roots of ``mu^2 - mu + 3(bc + bd + cd) = 0``. Raises
+    Two eigenvalues vanish identically, on the null vectors e4 and
+    (1, 1, 1, 0)/sqrt(3) shared by every unit-``a`` state; the other two are
+    the roots of ``mu^2 - mu + 3(bc + bd + cd) = 0``. Raises
     ``OutsideValidityWindow`` when the pair sum leaves [0, 1/12].
     """
     q = _require_unit_a_state(coeffs)
@@ -511,34 +476,6 @@ def maximize_gain(axis: MeasurementAxis) -> GainResult:
 def ie_state() -> S3Coeffs:
     """The fully symmetric mixed state 1/2 - CASIMIR/6."""
     return S3Coeffs(1.0, -1.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0)
-
-
-def ie_checks() -> Report:
-    """Verify the defining properties of the symmetric mixed state.
-
-    Validity on the window boundary, coefficient-level concurrence 2/3,
-    exact fixed point of all three measurement channels, exact commutation
-    with all five generators, and exact invariance under conjugation by the
-    cyclic shifts.
-    """
-    state = ie_state()
-    rho = assemble_s3(state)
-    q_dev = abs(pair_sum(state) - WINDOW_MAX)
-    c_dev = abs(concurrence_closed(state) - 2.0 / 3.0)
-    checks = [
-        CheckResult("pair sum on window boundary 1/12", q_dev <= COEFF_TOL, q_dev),
-        CheckResult("closed-form concurrence = 2/3", c_dev <= COEFF_TOL, c_dev),
-    ]
-    for axis in MeasurementAxis:
-        fixed = measure_update(state, axis) == state
-        checks.append(CheckResult(f"fixed point of {axis.value} channel", fixed))
-    zero = np.zeros((4, 4), complex)
-    for name, g in _GENERATORS.items():
-        checks.append(exact(f"[rho, {name}] = 0 exactly", rho @ g - g @ rho, zero))
-    for name, g in (("A", A), ("B", B)):
-        conj = g @ rho @ g.conj().T
-        checks.append(exact(f"{name} rho {name}^dagger = rho exactly", conj, rho))
-    return Report(tuple(checks))
 
 
 def ie_reach(cc: float, dd: float) -> S3Coeffs:

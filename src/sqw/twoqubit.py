@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, TraceNotOne, reject_non_finite
-from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, herm_eigen, locked
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
@@ -58,7 +58,7 @@ def validate_density(m) -> DensityMatrix:
     ``NotHermitian``, both from ``herm_eigen``, whose docstring gives their
     violations.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _as_mat4(m)
     w, v = herm_eigen(m)
     d0, d1, d2, d3 = m.diagonal().tolist()
     tr = (d0 + d1) + (d2 + d3)

@@ -16,12 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, _validated_make, reject_non_finite
-from .linalg import COEFF_TOL, PURE_TOL, UNIT, locked
-from .report import Report, exact
+from .linalg import COEFF_TOL, PURE_TOL, locked
 from .twoqubit import DensityMatrix, validate_density
-
-#: Positions that must vanish for an X-patterned matrix (row, col).
-OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 E = locked([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
 
@@ -49,15 +45,16 @@ class _XFields(NamedTuple):
 class XCoeffs(_XFields):
     """Expansion coefficients of an X-state over (1, E, lambda_i, tau_i) / 4.
 
-    A NamedTuple whose constructor checks that ``p`` and ``s`` have three
-    entries each, then that every value is finite; ``_make`` and
-    ``_replace`` build through it.
+    A NamedTuple whose constructor stores ``p`` and ``s`` as tuples, checks
+    that they have three entries each, then that every value is finite;
+    ``_make`` and ``_replace`` build through it.
     """
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, e: float, p: tuple[float, float, float], s: tuple[float, float, float]):
+        p, s = tuple(p), tuple(s)
         gap = abs(len(p) - 3) + abs(len(s) - 3)
         if gap:
             raise PreconditionViolated(
@@ -82,41 +79,6 @@ class PureXClass(Enum):
     CLASS1 = "class1"  # e = 1, |P| = 2, |S| = 0
     CLASS2 = "class2"  # e = -1, |S| = 2, |P| = 0
     NOT_PURE = "not_pure"
-
-
-def _levi_civita(i: int, j: int, k: int) -> int:
-    return int(np.sign((j - i) * (k - i) * (k - j)))
-
-
-def check_x_relations() -> Report:
-    """Verify the full product table of the eight generators, exactly.
-
-    All generators have entries in {0, +-1, +-i}, so every identity holds
-    with exact floating-point equality; any discrepancy is reported as a
-    failed check rather than an exception.
-    """
-    cases = []
-    half_plus = (UNIT + E) / 2
-    half_minus = (UNIT - E) / 2
-    zero = np.zeros((4, 4), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            eps_term = sum(
-                1j * _levi_civita(i, j, k) * LAMBDA[k] for k in range(3)
-            )
-            rhs = (half_plus if i == j else zero) + eps_term
-            cases.append((f"lam{i+1}*lam{j+1}", LAMBDA[i] @ LAMBDA[j], rhs))
-            eps_term = sum(1j * _levi_civita(i, j, k) * TAU[k] for k in range(3))
-            rhs = (half_minus if i == j else zero) + eps_term
-            cases.append((f"tau{i+1}*tau{j+1}", TAU[i] @ TAU[j], rhs))
-            cases.append((f"lam{i+1}*tau{j+1} = 0", LAMBDA[i] @ TAU[j], zero))
-            cases.append((f"tau{j+1}*lam{i+1} = 0", TAU[j] @ LAMBDA[i], zero))
-    for i in range(3):
-        cases.append((f"E*lam{i+1} = lam{i+1}", E @ LAMBDA[i], LAMBDA[i]))
-        cases.append((f"lam{i+1}*E = lam{i+1}", LAMBDA[i] @ E, LAMBDA[i]))
-        cases.append((f"E*tau{i+1} = -tau{i+1}", E @ TAU[i], -TAU[i]))
-        cases.append((f"tau{i+1}*E = -tau{i+1}", TAU[i] @ E, -TAU[i]))
-    return Report(tuple(exact(*case) for case in cases))
 
 
 def _ball_norms(coeffs: XCoeffs) -> tuple[float, float]:

@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from sqw import permworld, s3world, twoqubit, xworld
-from sqw.linalg import herm_eigen
+from sqw import permworld, report, s3world, twoqubit, xworld
+from sqw.linalg import UNIT, herm_eigen
 from sqw.s3world import MeasurementAxis
 
 from draws import random_s3_coeffs, random_x_coeffs, theta_grid
@@ -31,8 +31,8 @@ def _line(number: int, name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_algebra_exactness():
     start = time.perf_counter()
-    x_report = xworld.check_x_relations()
-    s3_report = s3world.check_s3_relations()
+    x_report = report.check_x_relations()
+    s3_report = report.check_s3_relations()
     elapsed = time.perf_counter() - start
     exact = (
         x_report.all_pass
@@ -161,7 +161,7 @@ def test_criterion_7_group_facts():
     order6 = [s for s in subgroups if s.order == 6]
     generator_set = {
         m.real.astype(int).tobytes()
-        for m in (s3world.UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
+        for m in (UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
     }
     stab_set = {
         permworld.perm_matrix(p).real.astype(int).tobytes()

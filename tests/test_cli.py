@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqw import cli
+from sqw import cli, report
 from sqw.cli import main
 from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, gain
@@ -54,7 +54,7 @@ def test_check_x_json(capsys):
 
 def test_failing_check_exits_one(capsys, monkeypatch):
     failing = Report((CheckResult("H1 H2 = H3", False, 0.12345678901234567),))
-    monkeypatch.setattr(cli, "check_s3_relations", lambda: failing)
+    monkeypatch.setattr(report, "check_s3_relations", lambda: failing)
     code, out, _ = run(capsys, "check", "s3")
     assert code == 1
     assert out.splitlines() == ["FAIL H1 H2 = H3", "s3: FAILURES PRESENT (1 checks)"]

@@ -19,7 +19,7 @@ import numpy as np
 from sqw import xworld
 from sqw.linalg import UNIT
 from sqw.s3world import (
-    CASIMIR, H1, H2, H3, KERNEL_VECTORS, MeasurementAxis, assemble_s3, ie_state, mean_values,
+    CASIMIR, H1, H2, H3, MeasurementAxis, assemble_s3, ie_state, mean_values,
     measure_update_matrix, t_param,
 )
 from sqw.twoqubit import _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle
@@ -118,8 +118,6 @@ def test_literal_constants_equal_their_numpy_expressions():
     sigma_y = np.array([[0, -1j], [1j, 0]])
     pairs = [
         (CASIMIR, H1 + H2 + H3),
-        (KERNEL_VECTORS[0], np.array([0, 0, 0, 1], dtype=complex)),
-        (KERNEL_VECTORS[1], np.array([1, 1, 1, 0], dtype=complex) / np.sqrt(3)),
         (E, np.diag([1, -1, -1, 1])),
         (LAMBDA[2], np.diag([1, 0, 0, -1])),
         (TAU[2], np.diag([0, 1, -1, 0])),

@@ -108,13 +108,18 @@ def test_herm_eigen_reads_a_nested_list_as_the_array():
 
 
 @pytest.mark.parametrize(
-    "shape, gap",
-    [((4, 3), 1.0), ((2, 4, 4), 6.0), ((4,), 4.0)],
-    ids=["4x3", "stacked", "1-d"],
+    "m, gap",
+    [
+        (np.zeros((4, 3), dtype=complex), 1.0),
+        (np.zeros((2, 4, 4), dtype=complex), 6.0),
+        (np.zeros(4, dtype=complex), 4.0),
+        ([[1, 2], [3]], math.inf),
+    ],
+    ids=["4x3", "stacked", "1-d", "ragged"],
 )
-def test_herm_eigen_rejects_a_shape_other_than_4x4(shape, gap):
+def test_herm_eigen_rejects_a_shape_other_than_4x4(m, gap):
     with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
-        linalg.herm_eigen(np.zeros(shape, dtype=complex))
+        linalg.herm_eigen(m)
     assert err.value.violation == gap
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sqw import s3world
+from sqw import linalg, s3world
 from sqw.permworld import (
     IDENTITY,
     Perm4,
@@ -106,7 +106,7 @@ def test_stabilizer_and_generate_read_integer_input():
 def test_stabilizer_of_four_realizes_the_generator_set():
     generator_set = {
         m.real.astype(int).tobytes()
-        for m in (s3world.UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
+        for m in (linalg.UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
     }
     stab_set = {
         perm_matrix(p).real.astype(int).tobytes() for p in stabilizer(4)

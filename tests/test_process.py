@@ -4,6 +4,7 @@ The import-graph and exit tests start ``python`` in a child process, because
 the test process itself has long since imported every module of the package.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -58,6 +59,27 @@ def test_command_loads_only_the_modules_it_runs(argv, extra):
     # Records are NamedTuples, and only a command that prints JSON imports json.
     assert "dataclasses" not in loaded
     assert ("json" in loaded) == ("json" in argv)
+
+
+def test_only_report_refers_to_the_check_records():
+    # Every check suite lives in report: no other module binds, imports or reads
+    # exact, CheckResult or Report, so suites cannot drift back into the formulas.
+    names = {"exact", "CheckResult", "Report"}
+    offenders = []
+    for path in sorted((SRC / "sqw").glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = [n for a in node.names for n in (a.name, a.asname)]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in found if n in names]
+    assert offenders == []
 
 
 def test_bare_import_loads_no_submodule_and_resolves_submodules():

@@ -147,6 +147,23 @@ def test_perm4_stores_its_images_as_a_tuple_of_ints():
         assert type(q.images) is tuple and all(type(i) is int for i in q.images)
 
 
+def test_xcoeffs_stores_its_vectors_as_tuples():
+    # Whatever sequences hold p and s, the record holds tuples: it hashes and
+    # compares like the tuple form, and a validated vector cannot change in place.
+    x = XCoeffs(0.0, (0.5, 0.0, 0.0), ZERO3)
+    lists, arrays = ([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]), (np.array([0.5, 0.0, 0.0]), np.zeros(3))
+    base = XCoeffs(0.0, ZERO3, ZERO3)
+    for y in (
+        XCoeffs(0.0, *lists), XCoeffs(0.0, *arrays),
+        base._replace(p=lists[0], s=lists[1]), base._replace(p=arrays[0], s=arrays[1]),
+        XCoeffs._make([0.0, *lists]), XCoeffs._make([0.0, *arrays]),
+    ):
+        assert type(y) is XCoeffs and y == x and hash(y) == hash(x)
+        assert type(y.p) is tuple and type(y.s) is tuple
+        with pytest.raises(TypeError):
+            y.p[0] = 5.0
+
+
 @pytest.mark.parametrize("images", [(1.0, 2, 3, 4), (2, 1, 3, 4.5), "1234", (1, 2, 3, None)])
 def test_perm4_rejects_non_integer_images(images):
     for build in (

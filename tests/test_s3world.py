@@ -12,7 +12,8 @@ from sqw.errors import (
     PreconditionViolated,
 )
 from sqw import s3world
-from sqw.linalg import herm_eigen
+from sqw.linalg import UNIT, herm_eigen
+from sqw.report import check_s3_relations, ie_checks
 from sqw.s3world import (
     A,
     B,
@@ -20,17 +21,13 @@ from sqw.s3world import (
     H1,
     H2,
     H3,
-    KERNEL_VECTORS,
-    UNIT,
     MeasurementAxis,
     S3Coeffs,
     assemble_s3,
-    check_s3_relations,
     concurrence_closed,
     gain,
     gain_closed_form,
     gain_curve,
-    ie_checks,
     ie_reach,
     ie_state,
     is_pure,
@@ -46,13 +43,15 @@ from sqw.s3world import (
     t_grid,
     t_param,
 )
-from sqw.twoqubit import concurrence_oracle
+from sqw.twoqubit import concurrence_oracle, validate_density
 from sqw.xworld import XCoeffs
 
 import kernel_reference
 from draws import PLANE_U, PLANE_V, random_s3_coeffs, theta_grid
 
 AXES = tuple(MeasurementAxis)
+#: Null vectors shared by every unit-``a`` state: e4 and (1, 1, 1, 0)/sqrt(3).
+KERNEL_VECTORS = (np.array([0, 0, 0, 1.0]), np.array([1, 1, 1, 0]) / math.sqrt(3.0))
 
 
 def bits(xs):
@@ -432,9 +431,13 @@ def test_measure_update_matrix_reads_a_nested_list_as_the_array():
 
 
 def test_measure_update_matrix_rejects_a_3x3():
-    with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
-        measure_update_matrix(np.eye(3) / 3, MeasurementAxis.H1)
-    assert err.value.violation == 2.0
+    # Also array-likes numpy cannot read as one array: ragged rows, and a
+    # DensityMatrix, which is a tuple of three arrays.
+    dm = validate_density(assemble_s3(ie_state()))
+    for rho, gap in ((np.eye(3) / 3, 2.0), ([[1, 2], [3]], math.inf), (dm, math.inf)):
+        with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
+            measure_update_matrix(rho, MeasurementAxis.H1)
+        assert err.value.violation == gap
 
 
 def test_measure_update_idempotent_exactly():

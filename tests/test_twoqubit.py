@@ -114,8 +114,9 @@ def _with_entry(value, index=(0, 0)):
         (_with_entry(np.nan, (2, 1)), NotHermitian, 1.0),
         (_with_entry(np.inf), NotHermitian, 1.0),
         (np.eye(3) / 3, PreconditionViolated, 2.0),
+        ([[1, 2], [3]], PreconditionViolated, math.inf),
     ],
-    ids=["all-nan", "one-nan", "inf-diagonal", "3x3"],
+    ids=["all-nan", "one-nan", "inf-diagonal", "3x3", "ragged"],
 )
 def test_non_finite_and_misshapen_input_rejected(m, error, violation):
     for call in (validate_density, concurrence_oracle):

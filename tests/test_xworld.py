@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from sqw.errors import NotPSD, PreconditionViolated
-from sqw.linalg import herm_eigen
+from sqw.linalg import UNIT, herm_eigen
+from sqw.report import check_x_relations
 from sqw.twoqubit import purity
 from sqw.xworld import (
     E,
     LAMBDA,
-    OFF_PATTERN,
     TAU,
-    UNIT,
     PureXClass,
     XCoeffs,
     assemble_x,
-    check_x_relations,
     classify_pure_x,
     x_spectrum,
 )
@@ -21,6 +19,8 @@ from sqw.xworld import (
 from draws import random_x_coeffs
 
 ZERO3 = (0.0, 0.0, 0.0)
+#: Positions that must vanish for an X-patterned matrix (row, col).
+OFF_PATTERN = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 
 def test_relation_suite_all_pass():
