@@ -21,9 +21,7 @@ _EXPORTS = {
         "OutsideValidityWindow", "PreconditionViolated", "TraceNotOne",
     ),
     "linalg": ("herm_eigen",),
-    "report": (
-        "CheckResult", "Report", "check_s3_relations", "check_x_relations", "ie_checks",
-    ),
+    "report": ("CheckResult", "Report", "check_s3_relations", "check_x_relations"),
     "twoqubit": (
         "ConcurrenceReport", "DensityMatrix", "concurrence_oracle",
         "entanglement_of_formation", "purity", "validate_density",

@@ -259,21 +259,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify generator algebras / group facts")
     p_check.add_argument("world", choices=list(SUITES))
     p_check.add_argument("--format", choices=["text", "json"], default="text")
+    p_check.set_defaults(run=_cmd_check)
 
     p_state = sub.add_parser("state", help="analyze one state of the swap family")
     _add_state_flags(p_state)
     p_state.add_argument("--format", choices=["text", "json"], default="text")
+    p_state.set_defaults(run=_cmd_state)
 
     p_measure = sub.add_parser("measure", help="apply one measurement channel")
     p_measure.add_argument("--axis", choices=axes, required=True)
     _add_state_flags(p_measure)
     p_measure.add_argument("--format", choices=["text", "json"], default="text")
+    p_measure.set_defaults(run=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="tabulate gain curves over t")
     p_sweep.add_argument("--axis", choices=axes, required=True)
     p_sweep.add_argument("--points", type=int, default=1001)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -297,14 +301,8 @@ def _run(argv) -> int:
         args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    handlers = {
-        "check": _cmd_check,
-        "state": _cmd_state,
-        "measure": _cmd_measure,
-        "sweep": _cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import NotHermitian, PreconditionViolated
 
-# Matrices and vectors are plain complex128 numpy arrays.
+# Matrices are plain complex128 numpy arrays.
 Mat4 = np.ndarray
-Vec4 = np.ndarray
 
 
 def locked(rows) -> Mat4:
@@ -37,8 +36,8 @@ TRACE_TOL = 1e-10
 EIGEN_TOL = 1e-9
 #: Distance from the pure-state value within which a state counts as pure.
 PURE_TOL = 1e-9
-#: Coefficient sums, the unit-``a`` slice, the pair-sum window [0, 1/12], the
-#: X-state positivity ball and the deviations that ``ie_checks`` accepts.
+#: Coefficient sums, the unit-``a`` slice, the pair-sum window [0, 1/12] and
+#: the X-state positivity ball.
 COEFF_TOL = 1e-12
 #: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
 REACH_PSD_TOL = 1e-10

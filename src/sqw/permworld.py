@@ -50,12 +50,6 @@ class Perm4(_Images):
     def __mul__(self, other: "Perm4") -> "Perm4":
         return Perm4(tuple(other.images[i - 1] for i in self.images))
 
-    def inverse(self) -> "Perm4":
-        inv = [0, 0, 0, 0]
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Perm4(tuple(inv))
-
     def order(self) -> int:
         k, p = 1, self
         while p != IDENTITY:

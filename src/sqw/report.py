@@ -1,8 +1,8 @@
 """Pass/fail reports, and every suite of exact facts that ``sqw check`` runs.
 
-The suites check the X product table, the S3 product table, the symmetric
-mixed state's invariances and the S4 subgroup facts. ``SUITES`` maps each
-``sqw check`` world to its suite. ``xworld`` and ``permworld`` are imported
+The suites check the X product table, the S3 product table and the S4
+subgroup facts; ``SUITES`` maps each ``sqw check`` world to its suite, and
+no other suite is defined here. ``xworld`` and ``permworld`` are imported
 only inside the suites that use them, so each command loads the modules it
 runs; the formula modules do not import this one.
 """
@@ -13,11 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import COEFF_TOL, UNIT
-from .s3world import (
-    CASIMIR, WINDOW_MAX, A, B, H1, H2, H3, MeasurementAxis, assemble_s3,
-    concurrence_closed, ie_state, measure_update, pair_sum,
-)
+from .linalg import UNIT
+from .s3world import CASIMIR, A, B, H1, H2, H3
 
 
 class CheckResult(NamedTuple):
@@ -107,34 +104,6 @@ def check_s3_relations() -> Report:
     checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
     for name, g in _GENERATORS.items():
         checks.append(exact(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, zero))
-    return Report(tuple(checks))
-
-
-def ie_checks() -> Report:
-    """Verify the defining properties of the symmetric mixed state.
-
-    Validity on the window boundary, coefficient-level concurrence 2/3,
-    exact fixed point of all three measurement channels, exact commutation
-    with all five generators, and exact invariance under conjugation by the
-    cyclic shifts.
-    """
-    state = ie_state()
-    rho = assemble_s3(state)
-    q_dev = abs(pair_sum(state) - WINDOW_MAX)
-    c_dev = abs(concurrence_closed(state) - 2.0 / 3.0)
-    checks = [
-        CheckResult("pair sum on window boundary 1/12", q_dev <= COEFF_TOL, q_dev),
-        CheckResult("closed-form concurrence = 2/3", c_dev <= COEFF_TOL, c_dev),
-    ]
-    for axis in MeasurementAxis:
-        fixed = measure_update(state, axis) == state
-        checks.append(CheckResult(f"fixed point of {axis.value} channel", fixed))
-    zero = np.zeros((4, 4), complex)
-    for name, g in _GENERATORS.items():
-        checks.append(exact(f"[rho, {name}] = 0 exactly", rho @ g - g @ rho, zero))
-    for name, g in (("A", A), ("B", B)):
-        conj = g @ rho @ g.conj().T
-        checks.append(exact(f"{name} rho {name}^dagger = rho exactly", conj, rho))
     return Report(tuple(checks))
 
 

@@ -70,15 +70,16 @@ class _S3Fields(NamedTuple):
 class S3Coeffs(_S3Fields):
     """Coefficients of a/2 + b H1 + c H2 + d H3 with a + b + c + d = 1/2.
 
-    A NamedTuple whose constructor checks the sum; ``_make`` and
-    ``_replace`` build through it.
+    A NamedTuple whose constructor checks the sum, and raises ``TypeError``
+    when it is complex; ``_make`` and ``_replace`` build through it.
     """
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, a: float, b: float, c: float, d: float):
-        dev = _norm_defect(a + b + c + d)
+        # _norm_defect with math.fabs, which raises TypeError on a complex sum.
+        dev = math.fabs(a + b + c + d - 0.5)
         if not dev <= COEFF_TOL:
             _reject_sum("a + b + c + d", (a, b, c, d), dev)
         return tuple.__new__(cls, (a, b, c, d))
@@ -211,6 +212,7 @@ def _circle_point_inv(u):
 
 
 def _pure_point(t: float) -> tuple[float, float, float, float]:
+    t = float(t)  # as gain_curve reads its array: a numpy scalar gives the float64 answer
     if abs(t) <= 1.0:
         return _circle_point(t)
     if math.isinf(t):
@@ -371,6 +373,7 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively. NaN raises the
     ``PreconditionViolated`` that ``gain`` raises.
     """
+    t = float(t)
     if not abs(t) <= 1e150:
         if math.isnan(t):
             reject_non_finite((t,))

@@ -26,12 +26,16 @@ class DensityMatrix(NamedTuple):
 
     ``eigenvalues`` (ascending) and ``eigenvectors`` (the matching columns)
     are the decomposition the positivity check computed; all three arrays
-    are read-only.
+    are read-only. numpy, and so every function taking a matrix, reads the
+    record as ``m``.
     """
 
     m: Mat4
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.m, dtype=dtype, copy=copy)
 
 
 class ConcurrenceReport(NamedTuple):

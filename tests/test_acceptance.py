@@ -124,6 +124,8 @@ def test_criterion_5_irreducible_entangled_state():
     rho = s3world.assemble_s3(state)
 
     conc_dev = abs(s3world.concurrence_closed(state) - 2 / 3)
+    # The pair sum bc + bd + cd lies on the window edge 1/12.
+    edge_dev = abs(s3world.pair_sum(state) - s3world.WINDOW_MAX)
     commutators_exact = all(
         np.array_equal(rho @ g, g @ rho)
         for g in (s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
@@ -134,9 +136,12 @@ def test_criterion_5_irreducible_entangled_state():
         and s3world.ie_reach(0.0, -1 / 3) == state
     )
 
-    ok = conc_dev <= 1e-12 and commutators_exact and fixed_exact and reach_exact
-    _line(5, "irreducible entangled state", ok, f"concurrence dev={conc_dev:.2e}")
+    ok = (conc_dev <= 1e-12 and edge_dev <= 1e-12 and commutators_exact and fixed_exact
+          and reach_exact)
+    _line(5, "irreducible entangled state", ok,
+          f"concurrence dev={conc_dev:.2e}, window edge dev={edge_dev:.2e}")
     assert conc_dev <= 1e-12
+    assert edge_dev <= 1e-12
     assert commutators_exact
     assert fixed_exact
     assert reach_exact

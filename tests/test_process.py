@@ -64,12 +64,26 @@ def test_command_loads_only_the_modules_it_runs(argv, extra):
 def test_only_report_refers_to_the_check_records():
     # Every check suite lives in report: no other module binds, imports or reads
     # exact, CheckResult or Report, so suites cannot drift back into the formulas.
+    # And every public function of report annotated -> Report is named in the
+    # SUITES literal, so report holds no suite that `sqw check` cannot run.
     names = {"exact", "CheckResult", "Report"}
     offenders = []
     for path in sorted((SRC / "sqw").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name == "report.py":
+            suites = next(
+                node.value for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SUITES"
+            )
+            run = {node.id for node in ast.walk(suites) if isinstance(node, ast.Name)}
+            offenders += [
+                f"{path.name}:{node.lineno} {node.name} not in SUITES" for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and node.returns is not None and ast.unparse(node.returns) == "Report"
+                and node.name not in run
+            ]
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 found = [node.id]
             elif isinstance(node, ast.Attribute):

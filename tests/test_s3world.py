@@ -13,7 +13,7 @@ from sqw.errors import (
 )
 from sqw import s3world
 from sqw.linalg import UNIT, herm_eigen
-from sqw.report import check_s3_relations, ie_checks
+from sqw.report import check_s3_relations
 from sqw.s3world import (
     A,
     B,
@@ -431,13 +431,15 @@ def test_measure_update_matrix_reads_a_nested_list_as_the_array():
 
 
 def test_measure_update_matrix_rejects_a_3x3():
-    # Also array-likes numpy cannot read as one array: ragged rows, and a
-    # DensityMatrix, which is a tuple of three arrays.
-    dm = validate_density(assemble_s3(ie_state()))
-    for rho, gap in ((np.eye(3) / 3, 2.0), ([[1, 2], [3]], math.inf), (dm, math.inf)):
+    # Also an array-like numpy cannot read as one array: ragged rows.
+    for rho, gap in ((np.eye(3) / 3, 2.0), ([[1, 2], [3]], math.inf)):
         with pytest.raises(PreconditionViolated, match=r"^matrix must be 4x4") as err:
             measure_update_matrix(rho, MeasurementAxis.H1)
         assert err.value.violation == gap
+    # A DensityMatrix is read as its matrix.
+    dm = validate_density(assemble_s3(ie_state()))
+    got = measure_update_matrix(dm, MeasurementAxis.H1)
+    assert got.tobytes() == measure_update_matrix(dm.m, MeasurementAxis.H1).tobytes()
 
 
 def test_measure_update_idempotent_exactly():
@@ -509,6 +511,10 @@ def test_t_grid_and_maximize_gain_reject_empty_grid(n):
         maximize_gain(MeasurementAxis.H1, n)
 
 
+#: numpy float scalars, which the scalar forms read as float64, as gain_curve reads an array.
+NUMPY_FLOATS = (np.float16, np.float32, np.float64)
+
+
 @pytest.mark.parametrize("n", GRID_SIZES)
 @pytest.mark.parametrize("axis", AXES)
 def test_gain_curve_bit_identical_to_gain(axis, n):
@@ -517,6 +523,15 @@ def test_gain_curve_bit_identical_to_gain(axis, n):
     assert bits(c_before) == bits(r.c_before for r in scalar)
     assert bits(c_after) == bits(r.c_after for r in scalar)
     assert bits(c_after - c_before) == bits(r.delta_c for r in scalar)
+    for dtype in NUMPY_FLOATS:  # scalar calls on up to 1001 points: a tenth of the time
+        ts = t_grid(min(n, 1001)).astype(dtype)
+        c_before, c_after = gain_curve(axis, ts)
+        scalar = [gain(axis, t) for t in ts]
+        assert bits(c_before) == bits(r.c_before for r in scalar)
+        assert bits(c_after) == bits(r.c_after for r in scalar)
+        assert {type(x) for r in scalar for x in r[1:]} == {float}
+        closed = [gain_closed_form(axis, t) for t in ts]
+        assert bits(closed) == bits(gain_closed_form(axis, t) for t in ts.tolist())
 
 
 #: Zeros of both signs, the branch edge |t| = 1, the circle's symmetric
@@ -666,11 +681,6 @@ def test_a_non_axis_raises_type_error():
 
 
 # ---- the irreducible entangled state ----
-
-def test_ie_checks_all_pass():
-    report = ie_checks()
-    assert report.all_pass
-
 
 def test_ie_commutes_with_generators_exactly():
     rho = assemble_s3(ie_state())
