@@ -1,8 +1,8 @@
 """Dense 4x4 complex linear algebra kernel.
 
-Thin, deterministic layer over numpy: read-only constant matrices and the
-Hermitian eigendecomposition. All operations are pure and safe to call
-concurrently.
+Thin, deterministic layer over numpy: read-only constant matrices, the
+Hermitian eigendecomposition and the package's one binding of LAPACK. All
+operations are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NotHermitian, PreconditionViolated
 
@@ -25,6 +26,12 @@ def locked(rows) -> Mat4:
 
 
 UNIT = locked(np.eye(4))
+
+# The package's only LAPACK entry points: the gufuncs np.linalg.eigh and
+# np.linalg.svd(m, compute_uv=False) call. With the wrappers' complex signatures
+# ("D->dD", "D->d") they give the wrappers' bits, without their errstate block.
+_eigh = _umath_linalg.eigh_lo
+_svd = _umath_linalg.svd
 
 
 # The tolerance table: every validity verdict in the package is decided here.
@@ -84,6 +91,12 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     below about 1e75, so neither check could fire, whatever the rounding. A
     larger sum, inf or NaN runs both; the rescaled copy is taken only when the
     largest entry modulus is above 1e150.
+
+    LAPACK runs through the bare gufunc, without the errstate block in which
+    ``np.linalg.eigh`` turns a non-convergence into ``LinAlgError``: it gets
+    only finite matrices within ``HERMITIAN_TOL`` of Hermitian, and on success
+    the gufunc clears the floating-point flags, so not even entries near
+    +-1e308 make a numpy warning.
     """
     m = _as_mat4(m)
     x, scale = m, 1.0
@@ -106,5 +119,5 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",
             violation=defect,
         )
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m, signature="D->dD")
     return w, v

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, TraceNotOne, reject_non_finite
-from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, herm_eigen, locked
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
@@ -132,11 +132,19 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     descending by construction, with no square root of a rounded eigenvalue.
     ``Sigma psi`` is taken as the signed row reversal ``Sigma`` amounts to.
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
-    the one inside ``validate_density``.
+    the one inside ``validate_density``. The SVD is the gufunc behind
+    ``np.linalg.svd``, with its bits. Only a record built by hand can make
+    ``M`` NaN or overflow its squared norm; its SVD runs under errstate, so a
+    NaN raises ``PreconditionViolated`` and numpy warns of nothing.
     """
     dm = _as_density(rho)
     psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
     m = psi.T @ (_FLIP_SIGN * psi[::-1])
-    l1, l2, l3, l4 = np.linalg.svd(m, compute_uv=False).tolist()
+    if math.isfinite(np.vdot(m, m).real):
+        s = _svd(m, signature="D->d")
+    else:
+        with np.errstate(invalid="ignore"):
+            s = _svd(m, signature="D->d")
+    l1, l2, l3, l4 = s.tolist()
     c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
     return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))

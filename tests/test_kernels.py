@@ -1,4 +1,5 @@
-"""Each index-map kernel against the constant-matrix form it replaces.
+"""Each index-map kernel against the constant-matrix form it replaces, and each
+bare LAPACK gufunc against the numpy wrapper it replaces.
 
 ``assemble_s3`` and ``assemble_x`` place their entries, ``measure_update_matrix``
 swaps rows and columns, the oracle's spin flip reverses rows with signs, and
@@ -8,16 +9,19 @@ matrix forms kept here, compared with ``==``, under which only the signs of
 zeros may differ. The inputs are seeded draws of valid states plus zeros of
 both signs, subnormals and +-1e155, whose squares are close to overflow.
 ``DensityMatrix`` is built directly where an input is not a valid state: the
-oracle reads only the decomposition.
+oracle reads only the decomposition. ``herm_eigen`` and the oracle's SVD
+must give the bits of ``np.linalg.eigh`` and ``np.linalg.svd``.
 """
 
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from sqw import xworld
-from sqw.linalg import UNIT
+from sqw.errors import InvalidState
+from sqw.linalg import UNIT, herm_eigen
 from sqw.s3world import (
     CASIMIR, H1, H2, H3, MeasurementAxis, assemble_s3, ie_state, mean_values,
     measure_update_matrix, t_param,
@@ -25,7 +29,8 @@ from sqw.s3world import (
 from sqw.twoqubit import _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
-from draws import random_s3_coeffs, random_x_coeffs
+import kernel_reference
+from draws import random_s3_coeffs, random_x_coeffs, theta_grid
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e155, -1e155)
 ORDINARY = (1.0, -0.25, 0.1)
@@ -40,6 +45,16 @@ def _valid_matrices(rng, n):
     return [assemble_s3(random_s3_coeffs(rng)) for _ in range(n)] + [
         assemble_x(random_x_coeffs(rng)).m for _ in range(n)
     ]
+
+
+def _generic_matrices(rng, n):
+    # Ginibre states, full rank, and the pure circle of the swap family, rank 1.
+    states = [assemble_s3(t_param(t)) for t in theta_grid(101)]
+    for _ in range(n):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        states.append(m / np.trace(m).real)
+    return states
 
 
 def test_assemble_s3_places_the_swap_sum():
@@ -99,18 +114,37 @@ def test_mean_values_are_the_traces_of_the_swap_products():
 
 def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
     # M = psi^T (SPIN_FLIP_OP psi): the oracle's matrix, with the flip as a
-    # product. Eigenvectors with edge entries and unit weights make psi = v;
-    # +-1e155 would overflow M in either form, so +-1e75 stands in for it.
+    # product, and its singular values from np.linalg.svd, whose bits the
+    # oracle's bare gufunc must keep. Eigenvectors with edge entries and unit
+    # weights make psi = v; +-1e155 would overflow M in either form, so +-1e75
+    # stands in for it.
     rng = np.random.default_rng(113)
     edges = EDGES[:-2] + (1e75, -1e75)
     states = [DensityMatrix(m, np.ones(4), m) for m in _edge_matrices(rng, 500, edges)]
-    for m in _valid_matrices(rng, 200):
+    for m in _valid_matrices(rng, 200) + _generic_matrices(rng, 200):
         w, v = np.linalg.eigh(m)
         states.append(DensityMatrix(m, w, v))
     for dm in states:
         psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
         lam = np.linalg.svd(psi.T @ (SPIN_FLIP_OP @ psi), compute_uv=False).tolist()
         assert concurrence_oracle(dm).omegas == tuple(x * x for x in lam)
+
+
+@pytest.mark.filterwarnings("error")
+def test_herm_eigen_gives_the_bytes_of_np_linalg_eigh():
+    # herm_eigen calls the gufunc behind np.linalg.eigh without the wrapper.
+    rng = np.random.default_rng(127)
+    states = _valid_matrices(rng, 200) + _generic_matrices(rng, 200)
+    accepted = 0
+    for m in states + [m for _, m in kernel_reference.boundary_matrices()]:
+        try:
+            w, v = herm_eigen(m)
+        except InvalidState:
+            continue
+        accepted += 1
+        expected = np.linalg.eigh(m)
+        assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+    assert accepted > len(states)
 
 
 def test_literal_constants_equal_their_numpy_expressions():

@@ -183,6 +183,25 @@ def test_only_linalg_binds_a_tolerance():
     assert offenders == []
 
 
+def test_only_linalg_binds_lapack():
+    # One home for LAPACK: no module but linalg imports from numpy.linalg, and
+    # no module reaches np.linalg.<name>, so no wrapper is called beside the gufuncs.
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and path.name != "linalg.py":
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import) and path.name != "linalg.py":
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(n.split(".")[:2] in (["numpy", "linalg"], ["np", "linalg"]) for n in names):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
 def test_readme_tolerance_table_is_the_linalg_table():
     # One row per *_TOL name that linalg binds, with its value: no stale or missing row.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sqw import s3world, twoqubit, xworld
+from sqw import linalg, s3world, twoqubit, xworld
 from sqw.errors import (
     NotHermitian, NotPSD, OutsideValidityWindow, PreconditionViolated, TraceNotOne,
 )
 from sqw.twoqubit import (
+    DensityMatrix,
     concurrence_oracle,
     entanglement_of_formation,
     purity,
@@ -267,8 +268,19 @@ def test_oracle_on_density_matrix_makes_no_eigendecomposition(monkeypatch):
         raise AssertionError("eigendecomposition called")
 
     monkeypatch.setattr(twoqubit, "herm_eigen", forbidden)
+    monkeypatch.setattr(linalg, "_eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     assert [concurrence_oracle(dm) for dm in states] == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_on_a_hand_built_record_with_nan_raises_invalid_state():
+    # The oracle trusts a DensityMatrix's decomposition; a NaN in it reaches the
+    # SVD and comes out as a NaN concurrence, with no numpy warning or LinAlgError.
+    dm = DensityMatrix(np.eye(4) / 4, np.array([0.25, 0.25, 0.25, math.nan]), np.eye(4))
+    with pytest.raises(PreconditionViolated, match="^concurrence must be finite$") as err:
+        concurrence_oracle(dm)
+    assert err.value.violation == 1
 
 
 # ---- oracle precision against independent references ----
