@@ -46,8 +46,6 @@ PURE_TOL = 1e-9
 #: Coefficient sums, the unit-``a`` slice, the pair-sum window [0, 1/12] and
 #: the X-state positivity ball.
 COEFF_TOL = 1e-12
-#: ``ie_reach`` rejects an initial state with an eigenvalue below -REACH_PSD_TOL.
-REACH_PSD_TOL = 1e-10
 
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 #: ``herm_eigen`` skips its finite and scale checks up to this sum of squares.

@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    NormalizationViolated, NotPSD, OutsideValidityWindow, PreconditionViolated,
-    _validated_make, reject_non_finite,
+    NormalizationViolated, OutsideValidityWindow, PreconditionViolated, _validated_make,
+    reject_non_finite,
 )
-from .linalg import COEFF_TOL, PURE_TOL, REACH_PSD_TOL, Mat4, _as_mat4, herm_eigen, locked
+from .linalg import COEFF_TOL, PURE_TOL, Mat4, _as_mat4, locked
 
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
@@ -42,22 +42,9 @@ B = locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 CASIMIR = locked([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 3]])
 
 
-def _norm_defect(total):
-    # |total - 1/2| of a coefficient sum, on floats or arrays; a non-finite
-    # coefficient makes it non-finite, so `not defect <= COEFF_TOL` catches both.
-    return abs(total - 0.5)
-
-
 def _in_window(q):
     # Whether the pair sum q lies in [0, 1/12] to COEFF_TOL, on floats or arrays.
     return (q >= -COEFF_TOL) & (q <= WINDOW_MAX + COEFF_TOL)
-
-
-def _reject_sum(terms: str, values: tuple, dev: float):
-    # The failure path of a normalization check: non-finite values come first.
-    if not all(map(math.isfinite, values)):
-        reject_non_finite(values)
-    raise NormalizationViolated(f"{terms} differs from 1/2 by {dev:.3e}", violation=dev)
 
 
 class _S3Fields(NamedTuple):
@@ -78,10 +65,14 @@ class S3Coeffs(_S3Fields):
     _make = classmethod(_validated_make)
 
     def __new__(cls, a: float, b: float, c: float, d: float):
-        # _norm_defect with math.fabs, which raises TypeError on a complex sum.
+        # math.fabs raises TypeError on a complex sum; NaN or inf fails the test.
         dev = math.fabs(a + b + c + d - 0.5)
         if not dev <= COEFF_TOL:
-            _reject_sum("a + b + c + d", (a, b, c, d), dev)
+            if not all(map(math.isfinite, (a, b, c, d))):
+                reject_non_finite((a, b, c, d))
+            raise NormalizationViolated(
+                f"a + b + c + d differs from 1/2 by {dev:.3e}", violation=dev
+            )
         return tuple.__new__(cls, (a, b, c, d))
 
 
@@ -153,11 +144,12 @@ def reduce_five_coeff(k: float, l: float, m: float, n: float, p: float) -> S3Coe
 
     The five-term expansion ``k/2 + l H1 + m H2 + n H3 + p (A + B)`` equals
     the four-term one because ``A + B = H1 + H2 + H3 - 1``; the folded
-    coefficients are ``(k - 2p, l + p, m + p, n + p)``.
+    coefficients are ``(k - 2p, l + p, m + p, n + p)``. A non-finite input
+    raises ``PreconditionViolated``; a bad sum raises ``S3Coeffs``'s
+    ``NormalizationViolated`` for ``a + b + c + d`` on the folded ones.
     """
-    dev = _norm_defect(k + l + m + n + p)
-    if not dev <= COEFF_TOL:
-        _reject_sum("k + l + m + n + p", (k, l, m, n, p), dev)
+    if not all(map(math.isfinite, (k, l, m, n, p))):
+        reject_non_finite((k, l, m, n, p))
     return S3Coeffs(a=k - 2 * p, b=l + p, c=m + p, d=n + p)
 
 
@@ -212,7 +204,9 @@ def _circle_point_inv(u):
 
 
 def _pure_point(t: float) -> tuple[float, float, float, float]:
-    t = float(t)  # as gain_curve reads its array: a numpy scalar gives the float64 answer
+    # float(t), as gain_curve reads its array (a numpy scalar gives the float64
+    # answer), except that ldexp raises TypeError for a string or bytes.
+    t = math.ldexp(t, 0)
     if abs(t) <= 1.0:
         return _circle_point(t)
     if math.isinf(t):
@@ -292,8 +286,8 @@ def _not_an_axis(axis) -> TypeError:
 def _unit_a_ok(b, c, d):
     # Whether S3Coeffs(1, b, c, d) and the window check accept the point, on
     # floats (a bool) or arrays; the sums run in the constructor's and
-    # pair_sum's order.
-    return (_norm_defect(1.0 + b + c + d) <= COEFF_TOL) & _in_window(b * c + b * d + c * d)
+    # pair_sum's order, and a non-finite coefficient fails the first test.
+    return (abs(1.0 + b + c + d - 0.5) <= COEFF_TOL) & _in_window(b * c + b * d + c * d)
 
 
 def _channel(axis: MeasurementAxis, b, c, d):
@@ -373,7 +367,7 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively. NaN raises the
     ``PreconditionViolated`` that ``gain`` raises.
     """
-    t = float(t)
+    t = math.ldexp(t, 0)  # float(t) that rejects strings, as in _pure_point
     if not abs(t) <= 1e150:
         if math.isnan(t):
             reject_non_finite((t,))
@@ -426,6 +420,8 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     costs about seventeen scalar calls. ``maximize_gain`` searches only
     through it.
     """
+    if np.asarray(ts).dtype.kind in "SU":
+        raise TypeError(f"t must be real numbers, got {ts!r}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
     # coefficient, which no output and no check depends on.
@@ -484,21 +480,9 @@ def ie_state() -> S3Coeffs:
 def ie_reach(cc: float, dd: float) -> S3Coeffs:
     """Reach the symmetric mixed state by one measurement of ``H1``.
 
-    The initial state has coefficients (1, -1/6, cc, dd); it must satisfy
-    cc + dd = -1/3 and be numerically positive semidefinite. The channel
-    output then equals the symmetric state exactly, coefficient by
-    coefficient.
+    The initial state (1, -1/6, cc, dd) needs cc + dd = -1/3 (``S3Coeffs``)
+    and a pair sum 1/18 + cc dd in [0, 1/12], which on this line is
+    positivity (``measure_update``). The channel output then equals the
+    symmetric state exactly, coefficient by coefficient.
     """
-    sum_dev = abs(cc + dd + 1.0 / 3.0)
-    if sum_dev > COEFF_TOL:
-        raise PreconditionViolated(
-            f"cc + dd differs from -1/3 by {sum_dev:.3e}", violation=sum_dev
-        )
-    initial = S3Coeffs(1.0, -1.0 / 6.0, cc, dd)
-    w, _ = herm_eigen(assemble_s3(initial))
-    if w[0] < -REACH_PSD_TOL:
-        raise NotPSD(
-            f"initial state has negative eigenvalue {w[0]:.3e}",
-            violation=float(-w[0]),
-        )
-    return measure_update(initial, MeasurementAxis.H1)
+    return measure_update(S3Coeffs(1.0, -1.0 / 6.0, cc, dd), MeasurementAxis.H1)

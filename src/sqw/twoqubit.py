@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPSD, TraceNotOne, reject_non_finite
+from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
 from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
@@ -133,18 +133,19 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     ``Sigma psi`` is taken as the signed row reversal ``Sigma`` amounts to.
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
     the one inside ``validate_density``. The SVD is the gufunc behind
-    ``np.linalg.svd``, with its bits. Only a record built by hand can make
-    ``M`` NaN or overflow its squared norm; its SVD runs under errstate, so a
-    NaN raises ``PreconditionViolated`` and numpy warns of nothing.
+    ``np.linalg.svd``, with its bits. Only a record built by hand can hold a
+    NaN or infinite eigenvalue or make ``M`` overflow its squared norm; both
+    raise ``PreconditionViolated("concurrence must be finite")``, the
+    eigenvalues checked before they reach ``psi``, so numpy warns of nothing.
     """
     dm = _as_density(rho)
-    psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
-    m = psi.T @ (_FLIP_SIGN * psi[::-1])
-    if math.isfinite(np.vdot(m, m).real):
-        s = _svd(m, signature="D->d")
-    else:
-        with np.errstate(invalid="ignore"):
-            s = _svd(m, signature="D->d")
-    l1, l2, l3, l4 = s.tolist()
+    finite = math.isfinite(sum(dm.eigenvalues.tolist()))
+    if finite:
+        psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
+        m = psi.T @ (_FLIP_SIGN * psi[::-1])
+        finite = math.isfinite(np.vdot(m, m).real)
+    if not finite:
+        raise PreconditionViolated("concurrence must be finite", violation=1.0)
+    l1, l2, l3, l4 = _svd(m, signature="D->d").tolist()
     c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
     return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))

@@ -202,6 +202,29 @@ def test_only_linalg_binds_lapack():
     assert offenders == []
 
 
+def test_s3world_calls_no_eigensolver():
+    # S3Coeffs and the unit-a window judge every s3world state: the module
+    # imports nothing from twoqubit and reaches no herm_eigen, _eigh or _svd.
+    path = Path(linalg.__file__).parent / "s3world.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(
+            n.split(".")[-1] in ("twoqubit", "herm_eigen", "_eigh", "_svd") for n in names
+        ):
+            offenders.append(f"s3world.py:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
 def test_readme_tolerance_table_is_the_linalg_table():
     # One row per *_TOL name that linalg binds, with its value: no stale or missing row.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

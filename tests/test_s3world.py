@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sqw.errors import (
     NormalizationViolated,
-    NotPSD,
     OutsideValidityWindow,
     PreconditionViolated,
 )
@@ -277,6 +276,7 @@ def test_every_parameter_formula_rejects_nan(axis):
         (lambda e, *v: XCoeffs(e, v[:3], v[3:]), (0.0, nan, 0.0, 0.0, inf, 0.0, nan), 3),
         (ie_reach, (nan, 0.0), 1),
         (reduce_five_coeff, (nan, 0.0, 0.0, inf, 0.0), 2),
+        (reduce_five_coeff, (0.0, 0.0, 0.0, 0.0, nan), 1),
     ):
         with pytest.raises(PreconditionViolated, match="^coefficients must be finite$") as err:
             call(*args)
@@ -664,6 +664,24 @@ def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
         maximize_gain(MeasurementAxis.H1)
 
 
+@pytest.mark.parametrize(
+    "route",
+    (
+        t_param,
+        pure_concurrence,
+        lambda t: gain(MeasurementAxis.H1, t),
+        lambda t: gain_closed_form(MeasurementAxis.H1, t),
+        lambda t: gain_curve(MeasurementAxis.H1, t),
+    ),
+    ids=("t_param", "pure_concurrence", "gain", "gain_closed_form", "gain_curve"),
+)
+def test_a_string_t_raises_type_error(route):
+    # float() parses "0.5" and b"0.5"; as a parameter they are no number.
+    for t in ("0.5", b"0.5", np.str_("0.5"), ["0.5"]):
+        with pytest.raises(TypeError, match="must be real number"):
+            route(t)
+
+
 def test_a_non_axis_raises_type_error():
     # Unchecked, a string reaches the H3 branch and gets H3's numbers.
     calls = (
@@ -703,10 +721,12 @@ def test_ie_invariant_under_generator_exponentials():
 def test_ie_reach():
     assert ie_reach(-1 / 6, -1 / 6) == ie_state()
     assert ie_reach(0.0, -1 / 3) == ie_state()
-    with pytest.raises(NotPSD):
+    with pytest.raises(OutsideValidityWindow) as err:
         ie_reach(1 / 3, -2 / 3)
-    with pytest.raises(PreconditionViolated):
+    assert err.value.violation == pytest.approx(1 / 6)
+    with pytest.raises(NormalizationViolated) as err:
         ie_reach(0.0, 0.0)
+    assert err.value.violation == pytest.approx(1 / 3)
 
 
 # ---- sampling ----

@@ -283,6 +283,21 @@ def test_oracle_on_a_hand_built_record_with_nan_raises_invalid_state():
     assert err.value.violation == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "eigenvalues, eigenvectors",
+    [([0.25, 0.25, 0.25, math.inf], np.eye(4)), ([0.25] * 4, 1e100 * np.eye(4))],
+    ids=["inf-eigenvalue", "overflowing-eigenvectors"],
+)
+def test_oracle_on_a_forged_record_raises_invalid_state(eigenvalues, eigenvectors):
+    # An infinite eigenvalue would reach psi as 0 * inf; eigenvectors scaled by
+    # 1e100 overflow the squared norm of M, whose SVD would give concurrence 0.
+    dm = DensityMatrix(np.eye(4) / 4, np.array(eigenvalues), eigenvectors)
+    with pytest.raises(PreconditionViolated, match="^concurrence must be finite$") as err:
+        concurrence_oracle(dm)
+    assert err.value.violation == 1
+
+
 # ---- oracle precision against independent references ----
 
 ORACLE_TOL = 1e-13
