@@ -1,8 +1,8 @@
 """Dense 4x4 complex linear algebra kernel.
 
 Thin, deterministic layer over numpy: read-only constant matrices, the
-Hermitian eigendecomposition and the package's one binding of LAPACK. All
-operations are pure and safe to call concurrently.
+Hermitian eigendecomposition and the package's one binding of LAPACK and of
+vdot. All operations are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy._core._multiarray_umath import vdot as _vdot
 from numpy.linalg import _umath_linalg
 
 from .errors import NotHermitian, PreconditionViolated
@@ -30,6 +31,7 @@ UNIT = locked(np.eye(4))
 # The package's only LAPACK entry points: the gufuncs np.linalg.eigh and
 # np.linalg.svd(m, compute_uv=False) call. With the wrappers' complex signatures
 # ("D->dD", "D->d") they give the wrappers' bits, without their errstate block.
+# _vdot is the C function np.vdot dispatches to: its bits, without the dispatch.
 _eigh = _umath_linalg.eigh_lo
 _svd = _umath_linalg.svd
 
@@ -85,7 +87,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     float, so it never overflows a numpy operation; at worst it is inf.
 
     The finite and scale checks are skipped when the sum of squared moduli,
-    ``np.vdot(m, m).real``, is at most 1e150. Every entry is then finite and
+    ``vdot(m, m).real``, is at most 1e150. Every entry is then finite and
     below about 1e75, so neither check could fire, whatever the rounding. A
     larger sum, inf or NaN runs both; the rescaled copy is taken only when the
     largest entry modulus is above 1e150.
@@ -98,7 +100,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _as_mat4(m)
     x, scale = m, 1.0
-    if not np.vdot(m, m).real <= _SCALE_ABOVE:
+    if not _vdot(m, m).real <= _SCALE_ABOVE:
         s = float(np.abs(m).max())
         if not math.isfinite(s):
             finite = np.isfinite(m)
@@ -111,7 +113,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
             scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
             x = m / scale
     diff = x - x.conj().T
-    defect = scale * math.sqrt(np.vdot(diff, diff).real)
+    defect = scale * math.sqrt(_vdot(diff, diff).real)
     if defect > HERMITIAN_TOL:
         raise NotHermitian(
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",

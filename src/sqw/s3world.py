@@ -418,9 +418,10 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     after the channel). If any point fails, the first one is re-run through
     ``gain``, which raises its exact error. Worth it for grids: a batch of one
     costs about seventeen scalar calls. ``maximize_gain`` searches only
-    through it.
+    through it. Strings, bytes, a ``bytearray`` and object arrays raise
+    ``TypeError``, as a string does in every scalar route.
     """
-    if np.asarray(ts).dtype.kind in "SU":
+    if isinstance(ts, bytearray) or np.asarray(ts).dtype.kind in "SUO":
         raise TypeError(f"t must be real numbers, got {ts!r}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero

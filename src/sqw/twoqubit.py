@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
-from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, herm_eigen, locked
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen, locked
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
@@ -101,10 +101,10 @@ def entanglement_of_formation(concurrence: float) -> float:
         reject_non_finite((concurrence,), "concurrence")
     c = min(max(concurrence, 0.0), 1.0)
     x = (1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0
-    e = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            e -= p * math.log2(p)
+    y = 1.0 - x
+    e = 0.0 - x * math.log2(x)  # x >= 1/2
+    if y > 0.0:
+        e -= y * math.log2(y)
     return min(max(e, 0.0), 1.0)
 
 
@@ -134,16 +134,19 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
     the one inside ``validate_density``. The SVD is the gufunc behind
     ``np.linalg.svd``, with its bits. Only a record built by hand can hold a
-    NaN or infinite eigenvalue or make ``M`` overflow its squared norm; both
-    raise ``PreconditionViolated("concurrence must be finite")``, the
-    eigenvalues checked before they reach ``psi``, so numpy warns of nothing.
+    NaN or infinite eigenvalue or eigenvector entry, or make ``M`` overflow
+    its squared norm; each raises
+    ``PreconditionViolated("concurrence must be finite")``, the eigenvalues
+    and the eigenvectors' squared norm checked before they reach ``psi``, so
+    numpy warns of nothing.
     """
     dm = _as_density(rho)
-    finite = math.isfinite(sum(dm.eigenvalues.tolist()))
+    w, v = dm.eigenvalues, dm.eigenvectors
+    finite = math.isfinite(sum(w.tolist())) and math.isfinite(_vdot(v, v).real)
     if finite:
-        psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
+        psi = v * np.sqrt(np.maximum(w, 0.0))
         m = psi.T @ (_FLIP_SIGN * psi[::-1])
-        finite = math.isfinite(np.vdot(m, m).real)
+        finite = math.isfinite(_vdot(m, m).real)
     if not finite:
         raise PreconditionViolated("concurrence must be finite", violation=1.0)
     l1, l2, l3, l4 = _svd(m, signature="D->d").tolist()

@@ -68,11 +68,13 @@ class XCoeffs(_XFields):
 
     @property
     def p_norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.p))
+        x, y, z = self.p
+        return math.sqrt(x * x + y * y + z * z)
 
     @property
     def s_norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.s))
+        x, y, z = self.s
+        return math.sqrt(x * x + y * y + z * z)
 
 
 class PureXClass(Enum):
@@ -103,13 +105,19 @@ def assemble_x(coeffs: XCoeffs) -> DensityMatrix:
     Coefficients outside the positivity ball raise ``NotPSD``.
     """
     _ball_norms(coeffs)
-    # The generator sum, entry by entry: E, lambda_3 and tau_3 on the diagonal.
+    # The generator sum over 4, entry by entry (E, lambda_3 and tau_3 on the
+    # diagonal), in the bits of numpy's m / 4. A complex entry is divided by
+    # 4 + 0j: CPython's complex quotient takes numpy's steps, signed zeros
+    # included, where Python 3.14 divides by a real 4 part by part.
     e, (p1, p2, p3), (s1, s2, s3) = coeffs.e, coeffs.p, coeffs.s
+    q = 4 + 0j
     m = np.array([
-        1 + e + p3, 0, 0, complex(p1, -p2), 0, 1 - e + s3, complex(s1, -s2), 0,
-        0, complex(s1, s2), 1 - e - s3, 0, complex(p1, p2), 0, 0, 1 + e - p3,
+        (1 + e + p3) / 4, 0, 0, complex(p1, -p2) / q,
+        0, (1 - e + s3) / 4, complex(s1, -s2) / q, 0,
+        0, complex(s1, s2) / q, (1 - e - s3) / 4, 0,
+        complex(p1, p2) / q, 0, 0, (1 + e - p3) / 4,
     ], dtype=complex).reshape(4, 4)
-    return validate_density(m / 4)
+    return validate_density(m)
 
 
 def x_spectrum(coeffs: XCoeffs) -> tuple[float, float, float, float]:

@@ -1,11 +1,12 @@
 """The per-state kernel and ``gain`` before their fast paths, and inputs at their edges.
 
 ``herm_eigen`` here takes the largest entry modulus on every call,
-``validate_density`` takes the trace with ``m.trace()``, and ``gain`` runs the
-coefficient chain ``concurrence_closed(measure_update(t_param(t), axis))``.
-The boundary tables in ``test_linalg``, ``test_twoqubit`` and ``test_s3world``
-require the package to give the same bytes, or the same error with the same
-violation, on every input below.
+``validate_density`` takes the trace with ``m.trace()``, ``assemble_x`` divides
+the whole matrix by 4 after building it, and ``gain`` runs the coefficient chain
+``concurrence_closed(measure_update(t_param(t), axis))``. The boundary tables in
+``test_linalg``, ``test_twoqubit``, ``test_xworld`` and ``test_s3world`` require
+the package to give the same bytes, or the same error with the same violation,
+on every input below.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from sqw.errors import NotHermitian, NotPSD, TraceNotOne
-from sqw.linalg import _SCALE_ABOVE, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
+from sqw.linalg import _SCALE_ABOVE, COEFF_TOL, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
 from sqw.s3world import (
     GainResult, concurrence_closed, measure_update, pure_concurrence, t_param,
 )
@@ -63,6 +64,23 @@ def validate_density(m):
     for a in (out, w, v):
         a.setflags(write=False)
     return DensityMatrix(out, w, v)
+
+
+def assemble_x(coeffs):
+    pn = math.sqrt(sum(x * x for x in coeffs.p))
+    sn = math.sqrt(sum(x * x for x in coeffs.s))
+    overshoot = max(pn - (1 + coeffs.e), sn - (1 - coeffs.e))
+    if overshoot > COEFF_TOL:
+        raise NotPSD(
+            f"coefficients exceed the positivity ball by {overshoot:.3e}",
+            violation=float(overshoot),
+        )
+    e, (p1, p2, p3), (s1, s2, s3) = coeffs.e, coeffs.p, coeffs.s
+    m = np.array([
+        1 + e + p3, 0, 0, complex(p1, -p2), 0, 1 - e + s3, complex(s1, -s2), 0,
+        0, complex(s1, s2), 1 - e - s3, 0, complex(p1, p2), 0, 0, 1 + e - p3,
+    ], dtype=complex).reshape(4, 4)
+    return validate_density(m / 4)
 
 
 def gain(axis, t):

@@ -184,8 +184,11 @@ def test_only_linalg_binds_a_tolerance():
 
 
 def test_only_linalg_binds_lapack():
-    # One home for LAPACK: no module but linalg imports from numpy.linalg, and
-    # no module reaches np.linalg.<name>, so no wrapper is called beside the gufuncs.
+    # One home for LAPACK and vdot: no module but linalg imports from
+    # numpy.linalg, numpy._core or numpy's vdot, and no module reaches
+    # np.linalg.<name>, np._core or np.vdot, so no wrapper is called beside the
+    # raw bindings.
+    routes = ("linalg", "_core", "core", "vdot")
     offenders = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -193,11 +196,12 @@ def test_only_linalg_binds_lapack():
                 names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
             elif isinstance(node, ast.Import) and path.name != "linalg.py":
                 names = [a.name for a in node.names]
-            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            elif isinstance(node, ast.Attribute) and node.attr in routes:
                 names = [ast.unparse(node)]
             else:
                 continue
-            if any(n.split(".")[:2] in (["numpy", "linalg"], ["np", "linalg"]) for n in names):
+            heads = [n.split(".")[:2] for n in names]
+            if any(h[0] in ("numpy", "np") and h[1:] and h[1] in routes for h in heads):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -604,6 +605,34 @@ def test_no_off_grid_point_beats_maximize_gain(axis):
     assert max(gain_closed_form(axis, t) for t in theta_grid(2_001)) <= best + 1e-12
 
 
+def test_no_measurement_word_beats_one_step():
+    # Every word of 1-4 axes (120) on the grid, scored by the verified
+    # concurrence 2|d| before and after: the best gain is 1/2, first reached
+    # by H1 alone at t = 0, and each word's best point is the oracle's.
+    ts = t_grid(2000).tolist()
+    b, c, d = np.array([t_param(t)[1:] for t in ts]).T
+    winners = []
+    for n in range(1, 5):
+        for word in itertools.product(AXES, repeat=n):
+            after = b, c, d
+            for axis in word:
+                after = s3world._channel(axis, *after)
+            scores = 2.0 * np.abs(after[2]) - 2.0 * np.abs(d)
+            k = int(np.argmax(scores))
+            winners.append((float(scores[k]), word, ts[k]))
+    assert len(winners) == 120
+    best = max(score for score, _, _ in winners)
+    assert best == 0.5
+    assert next(w for w in winners if w[0] == best)[1:] == ((MeasurementAxis.H1,), 0.0)
+    for score, word, t in winners:
+        coeffs = t_param(t)
+        before = concurrence_oracle(assemble_s3(coeffs)).concurrence
+        for axis in word:
+            coeffs = measure_update(coeffs, axis)
+        oracle = concurrence_oracle(assemble_s3(coeffs)).concurrence - before
+        assert abs(oracle - score) <= 1e-12, (word, t)
+
+
 @pytest.mark.parametrize("axis", AXES)
 def test_maximize_gain_calls_gain_once(axis, monkeypatch):
     calls = []
@@ -679,6 +708,11 @@ def test_a_string_t_raises_type_error(route):
     # float() parses "0.5" and b"0.5"; as a parameter they are no number.
     for t in ("0.5", b"0.5", np.str_("0.5"), ["0.5"]):
         with pytest.raises(TypeError, match="must be real number"):
+            route(t)
+    # As an array, an object array of strings would be parsed entry by entry
+    # and a bytearray read as its byte values; no scalar route takes either.
+    for t in (np.array(["0.5"], dtype=object), bytearray(b"0.5")):
+        with pytest.raises(TypeError):
             route(t)
 
 

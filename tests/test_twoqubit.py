@@ -283,15 +283,27 @@ def test_oracle_on_a_hand_built_record_with_nan_raises_invalid_state():
     assert err.value.violation == 1
 
 
+def _eye_with(value):
+    v = np.eye(4, dtype=complex)
+    v[0, 0] = value
+    return v
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "eigenvalues, eigenvectors",
-    [([0.25, 0.25, 0.25, math.inf], np.eye(4)), ([0.25] * 4, 1e100 * np.eye(4))],
-    ids=["inf-eigenvalue", "overflowing-eigenvectors"],
+    [
+        ([0.25, 0.25, 0.25, math.inf], np.eye(4)),
+        ([0.25] * 4, 1e100 * np.eye(4)),
+        ([0.25] * 4, _eye_with(math.inf)),
+        ([0.25] * 4, _eye_with(complex(0.0, -math.inf))),
+    ],
+    ids=["inf-eigenvalue", "overflowing-eigenvectors", "inf-eigenvector", "inf-imag-eigenvector"],
 )
 def test_oracle_on_a_forged_record_raises_invalid_state(eigenvalues, eigenvectors):
-    # An infinite eigenvalue would reach psi as 0 * inf; eigenvectors scaled by
-    # 1e100 overflow the squared norm of M, whose SVD would give concurrence 0.
+    # An infinite eigenvalue or eigenvector entry would reach psi as a complex
+    # 0 * inf; eigenvectors scaled by 1e100 overflow the squared norm of M,
+    # whose SVD would give concurrence 0.
     dm = DensityMatrix(np.eye(4) / 4, np.array(eigenvalues), eigenvectors)
     with pytest.raises(PreconditionViolated, match="^concurrence must be finite$") as err:
         concurrence_oracle(dm)

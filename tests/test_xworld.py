@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from sqw.xworld import (
     x_spectrum,
 )
 
+import kernel_reference as ref
 from draws import random_x_coeffs
 
 ZERO3 = (0.0, 0.0, 0.0)
@@ -70,6 +74,32 @@ def test_x_spectrum_rejects_what_assemble_rejects():
             with pytest.raises(NotPSD) as err:
                 call(coeffs)
             assert err.value.violation == overshoot
+
+
+def _x_edges():
+    # Each +-0.0 pattern of p and of s, with e = +-1, +-0.0 and 1/2, and the
+    # pure classes with every signed zero vector.
+    vecs = list(itertools.product((0.0, -0.0, 0.3, -0.3), repeat=3))
+    for e in (-1.0, -0.0, 0.0, 0.5, 1.0):
+        for p, s in zip(vecs, vecs[::-1]):
+            yield XCoeffs(e, p, s)
+    for zero in itertools.product((0.0, -0.0), repeat=3):
+        for k, sign in itertools.product(range(3), (1.0, -1.0)):
+            v = list(zero)
+            v[k] = 2.0 * sign
+            yield XCoeffs(1.0, v, zero)
+            yield XCoeffs(-1.0, zero, v)
+
+
+def test_assemble_x_gives_the_bytes_of_the_whole_array_quarter():
+    # assemble_x divides entry by entry; the reference divides the built
+    # matrix by 4. Matrix, eigenvalues, eigenvectors, or the error, must match.
+    rng = np.random.default_rng(23)
+    draws = [random_x_coeffs(rng) for _ in range(2000)]
+    for c in [*draws, *_x_edges()]:
+        assert ref.outcome(assemble_x, c) == ref.outcome(ref.assemble_x, c), c
+        norms = math.sqrt(sum(x * x for x in c.p)), math.sqrt(sum(x * x for x in c.s))
+        assert (c.p_norm.hex(), c.s_norm.hex()) == tuple(map(float.hex, norms))
 
 
 def test_x_pattern_zeros_exact():
