@@ -12,10 +12,8 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import _validated_make
-from .linalg import Mat4
+from .linalg import UNIT, Mat4
 
 POINTS = (1, 2, 3, 4)
 
@@ -51,11 +49,7 @@ class Perm4(_Images):
         return Perm4(tuple(other.images[i - 1] for i in self.images))
 
     def order(self) -> int:
-        k, p = 1, self
-        while p != IDENTITY:
-            p = p * self
-            k += 1
-        return k
+        return len(generate((self,)))
 
 
 IDENTITY = Perm4((1, 2, 3, 4))
@@ -88,21 +82,20 @@ def _table() -> tuple[tuple[Perm4, ...], dict[Perm4, int], tuple[tuple[int, ...]
 
 
 def generate(generators) -> Subgroup:
-    """Closure of a set of permutations under composition."""
+    """Closure of ``Perm4`` generators under composition; other items raise ``TypeError``."""
     elements, index, product = _table()
-    gens = tuple(index[g] for g in generators)
-    found = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = product[x]
-            for g in gens:
-                y = row[g]
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    gens = []
+    for g in generators:
+        if not isinstance(g, Perm4):
+            raise TypeError(f"generators must be Perm4, got {g!r}")
+        gens.append(index[g])
+    found, queue = {0}, [0]
+    for x in queue:  # the queue grows while it is read: every element found is multiplied
+        for g in gens:
+            y = product[x][g]
+            if y not in found:
+                found.add(y)
+                queue.append(y)
     return Subgroup(tuple(elements[i] for i in sorted(found)))
 
 
@@ -115,11 +108,7 @@ def enumerate_subgroups() -> tuple[Subgroup, ...]:
     Deterministic order: by subgroup order, then element tuple.
     """
     elements = all_elements()
-    found = {generate(())}
-    for g in elements:
-        found.add(generate((g,)))
-    for g, h in itertools.combinations(elements, 2):
-        found.add(generate((g, h)))
+    found = {generate(s) for k in (0, 1, 2) for s in itertools.combinations(elements, k)}
     return tuple(sorted(found, key=lambda s: (s.order, s)))
 
 
@@ -128,17 +117,12 @@ def stabilizer(point: int) -> Subgroup:
     point = operator.index(point)
     if point not in POINTS:
         raise ValueError(f"point must be in 1..4, got {point}")
-    return Subgroup(
-        tuple(sorted(p for p in all_elements() if p(point) == point))
-    )
+    return Subgroup(tuple(p for p in all_elements() if p(point) == point))
 
 
 def perm_matrix(p: Perm4) -> Mat4:
-    """0/1 matrix with a one at (i, p(i)); multiplicative in composition."""
-    m = np.zeros((4, 4), dtype=complex)
-    for i in POINTS:
-        m[i - 1, p(i) - 1] = 1.0
-    return m
+    """Rows p(1), ..., p(4) of the identity: a one at (i, p(i)), multiplicative in composition."""
+    return UNIT[[p(i) - 1 for i in POINTS]]
 
 
 def classify(subgroup: Subgroup) -> str:

@@ -57,17 +57,14 @@ def check_x_relations() -> Report:
     from .xworld import LAMBDA, TAU, E
 
     cases = []
-    half_plus = (UNIT + E) / 2
-    half_minus = (UNIT - E) / 2
+    families = (("lam", LAMBDA, (UNIT + E) / 2), ("tau", TAU, (UNIT - E) / 2))
     zero = np.zeros((4, 4), dtype=complex)
     for i in range(3):
         for j in range(3):
-            eps_term = sum(1j * _levi_civita(i, j, k) * LAMBDA[k] for k in range(3))
-            rhs = (half_plus if i == j else zero) + eps_term
-            cases.append((f"lam{i+1}*lam{j+1}", LAMBDA[i] @ LAMBDA[j], rhs))
-            eps_term = sum(1j * _levi_civita(i, j, k) * TAU[k] for k in range(3))
-            rhs = (half_minus if i == j else zero) + eps_term
-            cases.append((f"tau{i+1}*tau{j+1}", TAU[i] @ TAU[j], rhs))
+            for name, g, half in families:
+                eps_term = sum(1j * _levi_civita(i, j, k) * g[k] for k in range(3))
+                rhs = (half if i == j else zero) + eps_term
+                cases.append((f"{name}{i+1}*{name}{j+1}", g[i] @ g[j], rhs))
             cases.append((f"lam{i+1}*tau{j+1} = 0", LAMBDA[i] @ TAU[j], zero))
             cases.append((f"tau{j+1}*lam{i+1} = 0", TAU[j] @ LAMBDA[i], zero))
     for i in range(3):

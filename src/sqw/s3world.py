@@ -203,10 +203,16 @@ def _circle_point_inv(u):
     return -(u + 1.0) / den, -(u * u + u) / den, u / den, abs(u) / s
 
 
+def _read_t(t) -> float:
+    if type(t) is float:  # the common case, and ldexp(t, 0) is t
+        return t
+    if isinstance(t, np.ndarray) and t.dtype.kind in "SUO":  # numpy would parse its strings
+        raise TypeError(f"t must be real number, got {t!r}")
+    return math.ldexp(t, 0)  # float(t) as gain_curve reads it, but str or bytes raise TypeError
+
+
 def _pure_point(t: float) -> tuple[float, float, float, float]:
-    # float(t), as gain_curve reads its array (a numpy scalar gives the float64
-    # answer), except that ldexp raises TypeError for a string or bytes.
-    t = math.ldexp(t, 0)
+    t = _read_t(t)
     if abs(t) <= 1.0:
         return _circle_point(t)
     if math.isinf(t):
@@ -275,8 +281,7 @@ def swap_concurrence(coeffs: S3Coeffs) -> float:
     ``OutsideValidityWindow`` outside it; pq is clamped against rounding.
     """
     _require_unit_a_state(coeffs)
-    b, c, d = coeffs.b, coeffs.c, coeffs.d
-    return 2.0 * min(abs(d), math.sqrt(max((0.5 + b) * (0.5 + c), 0.0)))
+    return min(2.0 * abs(coeffs.d), _closed_concurrence(coeffs.b, coeffs.c))
 
 
 def _not_an_axis(axis) -> TypeError:
@@ -367,7 +372,7 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
     0, 1/sqrt(2) and 1/2 for axes H1, H2, H3 respectively. NaN raises the
     ``PreconditionViolated`` that ``gain`` raises.
     """
-    t = math.ldexp(t, 0)  # float(t) that rejects strings, as in _pure_point
+    t = _read_t(t)
     if not abs(t) <= 1e150:
         if math.isnan(t):
             reject_non_finite((t,))
@@ -432,9 +437,8 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
         (big, _circle_point_inv, 1.0 / ts[big]),
         (~big, _circle_point, ts[~big]),
     ):
-        if x.size:  # ts may lie on one side of |t| = 1, e.g. t_grid(1)
-            for row, value in zip(point, point_at(x)):
-                row[mask] = value
+        for row, value in zip(point, point_at(x)):
+            row[mask] = value
     after = _channel(axis, b, c, d)
     bad = ~(_unit_a_ok(b, c, d) & _unit_a_ok(*after))
     if bad.any():

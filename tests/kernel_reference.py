@@ -1,20 +1,25 @@
-"""The per-state kernel and ``gain`` before their fast paths, and inputs at their edges.
+"""The per-state kernel, ``gain`` and the group engine before their rewrites, and edge inputs.
 
 ``herm_eigen`` here takes the largest entry modulus on every call,
 ``validate_density`` takes the trace with ``m.trace()``, ``assemble_x`` divides
 the whole matrix by 4 after building it, and ``gain`` runs the coefficient chain
-``concurrence_closed(measure_update(t_param(t), axis))``. The boundary tables in
-``test_linalg``, ``test_twoqubit``, ``test_xworld`` and ``test_s3world`` require
-the package to give the same bytes, or the same error with the same violation,
-on every input below.
+``concurrence_closed(measure_update(t_param(t), axis))``. ``generate`` closes
+its generators frontier by frontier, ``order`` multiplies an element until it
+reaches the identity, and ``perm_matrix`` writes its four ones into a zero
+matrix. The boundary tables in ``test_linalg``, ``test_twoqubit``,
+``test_xworld`` and ``test_s3world`` require the package to give the same bytes,
+or the same error with the same violation, on every input below;
+``test_permworld`` requires the same subgroups, orders and matrices.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from sqw.errors import NotHermitian, NotPSD, TraceNotOne
 from sqw.linalg import _SCALE_ABOVE, COEFF_TOL, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
+from sqw.permworld import IDENTITY, POINTS, Subgroup, _table, all_elements
 from sqw.s3world import (
     GainResult, concurrence_closed, measure_update, pure_concurrence, t_param,
 )
@@ -89,6 +94,49 @@ def gain(axis, t):
     return GainResult(
         t_star=t, delta_c=c_after - c_before, c_before=c_before, c_after=c_after
     )
+
+
+def generate(generators):
+    elements, index, product = _table()
+    gens = tuple(index[g] for g in generators)
+    found = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = product[x]
+            for g in gens:
+                y = row[g]
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return Subgroup(tuple(elements[i] for i in sorted(found)))
+
+
+def enumerate_subgroups():
+    elements = all_elements()
+    found = {generate(())}
+    for g in elements:
+        found.add(generate((g,)))
+    for g, h in itertools.combinations(elements, 2):
+        found.add(generate((g, h)))
+    return tuple(sorted(found, key=lambda s: (s.order, s)))
+
+
+def order(p):
+    k, q = 1, p
+    while q != IDENTITY:
+        q = q * p
+        k += 1
+    return k
+
+
+def perm_matrix(p):
+    m = np.zeros((4, 4), dtype=complex)
+    for i in POINTS:
+        m[i - 1, p(i) - 1] = 1.0
+    return m
 
 
 def gain_outcome(f, axis, t):

@@ -1,9 +1,11 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import kernel_reference
 from sqw import linalg, s3world
 from sqw.permworld import (
     IDENTITY,
@@ -78,10 +80,35 @@ def _perm_closure(generators):
 
 
 def test_generate_matches_perm4_closure():
+    # Against Perm4 products, and against the frontier closure and enumeration it replaced.
     elements = all_elements()
     sets = [()] + [(g,) for g in elements] + list(itertools.combinations(elements, 2))
+    assert len(sets) == 301
     for gens in sets:
         assert tuple(generate(gens)) == _perm_closure(gens)
+        assert generate(gens) == kernel_reference.generate(gens)
+    enumerate_subgroups.cache_clear()
+    assert enumerate_subgroups() == kernel_reference.enumerate_subgroups()
+
+
+def test_order_equals_the_power_loop():
+    for p in all_elements():
+        assert p.order() == kernel_reference.order(p)
+
+
+def test_perm_matrix_equals_the_written_matrix():
+    for p in all_elements():
+        got, want = perm_matrix(p), kernel_reference.perm_matrix(p)
+        assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and got.flags.writeable
+        got[0, 0] = 2.0  # a fresh array each call: the identity is untouched
+    assert np.array_equal(linalg.UNIT, np.eye(4))
+
+
+@pytest.mark.parametrize("item", [(2, 1, 3, 4), [2, 1, 3, 4], "ab", None, 3])
+def test_generate_rejects_a_non_perm4(item):
+    with pytest.raises(TypeError, match=re.escape(f"generators must be Perm4, got {item!r}")):
+        generate([Perm4((2, 1, 3, 4)), item])
 
 
 def test_stabilizers():

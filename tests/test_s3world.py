@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -573,6 +574,46 @@ def test_gain_curve_nan_raises_like_gain(axis):
     assert str(batch.value) == str(scalar.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize(
+    "ts",
+    ([0.5], [math.inf], [], [[0.25, -0.75], [1.0, -0.0]], [[2.0, -3.0], [1e300, -math.inf]]),
+    ids=("inside", "infinity", "empty", "2-D inside", "2-D outside"),
+)
+def test_gain_curve_on_one_side_of_the_unit_t_equals_gain(axis, ts):
+    # Only one of gain_curve's two branches has points: the other assigns nothing.
+    c_before, c_after = gain_curve(axis, ts)
+    assert c_before.shape == c_after.shape == np.shape(ts)
+    scalar = [gain(axis, t) for t in np.ravel(ts).tolist()]
+    assert bits(c_before.ravel()) == bits(r.c_before for r in scalar)
+    assert bits(c_after.ravel()) == bits(r.c_after for r in scalar)
+
+
+def test_gain_reruns_the_chain_for_a_point_off_the_window(monkeypatch):
+    # (b, c, d) = (1/4, 1/4, -1) sums to -1/2 but has pair sum -7/16.
+    monkeypatch.setattr(s3world, "_pure_point", lambda t: (0.25, 0.25, -1.0, 0.0))
+    with pytest.raises(OutsideValidityWindow) as err:
+        gain(MeasurementAxis.H1, 0.5)
+    assert err.value.violation == 0.4375
+
+
+def test_a_check_stricter_than_the_chain_is_an_assertion_error(monkeypatch):
+    # Were the one-predicate check to reject a point the chain accepts, gain and
+    # gain_curve would say so rather than return a number.
+    unit_a_ok = s3world._unit_a_ok
+    monkeypatch.setattr(s3world, "_unit_a_ok", lambda b, c, d: False)
+    with pytest.raises(AssertionError, match="gain rejected t = 0.5"):
+        gain(MeasurementAxis.H1, 0.5)
+    # Rejecting array points only, so that gain accepts what gain_curve rejected.
+    monkeypatch.setattr(
+        s3world, "_unit_a_ok",
+        lambda b, c, d: np.zeros(np.shape(b), bool) if np.ndim(b) else unit_a_ok(b, c, d),
+    )
+    with pytest.raises(AssertionError, match="gain_curve rejected t = 0.5"):
+        gain_curve(MeasurementAxis.H1, [0.5, 2.0])
+
+
 def _scan_winner(points):
     # Tie rule: on equal gains, finite t beats infinity, then the smallest |t|
     # wins, then the earlier point (a scan keeping strict improvements).
@@ -705,8 +746,12 @@ def test_a_float_grid_size_raises_with_a_cold_or_a_warm_memo(n):
     ids=("t_param", "pure_concurrence", "gain", "gain_closed_form", "gain_curve"),
 )
 def test_a_string_t_raises_type_error(route):
-    # float() parses "0.5" and b"0.5"; as a parameter they are no number.
-    for t in ("0.5", b"0.5", np.str_("0.5"), ["0.5"]):
+    # float() parses "0.5" and b"0.5"; as a parameter they are no number. A 0-d
+    # string or object array would be parsed through its __float__ as well.
+    for t in (
+        "0.5", b"0.5", np.str_("0.5"), ["0.5"], np.array("0.5", dtype=object),
+        np.array("0.5"), np.array(b"0.5"), np.array(0.5, dtype=object),
+    ):
         with pytest.raises(TypeError, match="must be real number"):
             route(t)
     # As an array, an object array of strings would be parsed entry by entry
@@ -714,6 +759,23 @@ def test_a_string_t_raises_type_error(route):
     for t in (np.array(["0.5"], dtype=object), bytearray(b"0.5")):
         with pytest.raises(TypeError):
             route(t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "t",
+    (0.37, -2.5, 3, -1, True, Fraction(1, 3), np.float16(0.37), np.float32(-2.5),
+     np.float64(7.0), np.array(0.37), np.array(-2.5, dtype=np.float32)),
+    ids=repr,
+)
+def test_a_real_t_reads_as_its_float(t):
+    x = float(t)
+    assert t_param(t) == t_param(x) and bits(t_param(t)) == bits(t_param(x))
+    assert bits([pure_concurrence(t)]) == bits([pure_concurrence(x)])
+    for axis in AXES:
+        assert gain(axis, t).t_star is t
+        assert bits(gain(axis, t)[1:]) == bits(gain(axis, x)[1:])
+        assert bits([gain_closed_form(axis, t)]) == bits([gain_closed_form(axis, x)])
 
 
 def test_a_non_axis_raises_type_error():
