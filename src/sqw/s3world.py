@@ -29,6 +29,8 @@ from .linalg import COEFF_TOL, PURE_TOL, Mat4, _as_mat4, locked
 
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
+#: Array kinds whose strings numpy would parse as numbers; no ``t`` route takes them.
+_PARSED_KINDS = "SUO"
 
 
 #: Pair swaps of basis states (1,2), (1,3) and (2,3); each squares to 1.
@@ -206,7 +208,7 @@ def _circle_point_inv(u):
 def _read_t(t) -> float:
     if type(t) is float:  # the common case, and ldexp(t, 0) is t
         return t
-    if isinstance(t, np.ndarray) and t.dtype.kind in "SUO":  # numpy would parse its strings
+    if isinstance(t, np.ndarray) and t.dtype.kind in _PARSED_KINDS:
         raise TypeError(f"t must be real number, got {t!r}")
     return math.ldexp(t, 0)  # float(t) as gain_curve reads it, but str or bytes raise TypeError
 
@@ -359,9 +361,7 @@ def gain(axis: MeasurementAxis, t: float) -> GainResult:
         concurrence_closed(measure_update(S3Coeffs(1.0, b, c, d), axis))
         raise AssertionError(f"gain rejected t = {t!r}, which its pipeline accepts")
     c_after = _closed_concurrence(after[0], after[1])
-    return GainResult(
-        t_star=t, delta_c=c_after - c_before, c_before=c_before, c_after=c_after
-    )
+    return GainResult(t, c_after - c_before, c_before, c_after)
 
 
 def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
@@ -426,8 +426,8 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     through it. Strings, bytes, a ``bytearray`` and object arrays raise
     ``TypeError``, as a string does in every scalar route.
     """
-    if isinstance(ts, bytearray) or np.asarray(ts).dtype.kind in "SUO":
-        raise TypeError(f"t must be real numbers, got {ts!r}")
+    if isinstance(ts, bytearray) or np.asarray(ts).dtype.kind in _PARSED_KINDS:
+        raise TypeError(f"t must be real number, got {ts!r}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
     # coefficient, which no output and no check depends on.
