@@ -201,36 +201,54 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-#: Most grid points ``sweep`` takes; the grid and its records are held in memory.
+#: Most grid points ``sweep`` takes; the grid's four columns are held in memory.
 _MAX_POINTS = 10**6
+#: Grid points ``sweep`` formats at once; no format holds a record per point.
+_SLICE = 65_536
 
 
 def _sweep_payload(axis: MeasurementAxis, points: int) -> dict:
-    """One record per point of ``t_grid(points)``, and the maximum gain."""
+    """The columns t, c_before, c_after and delta_c over ``t_grid(points)``, and the maximum."""
     ts = t_grid(points)
     c_before, c_after = gain_curve(axis, ts)
-    columns = (ts, c_before, c_after, c_after - c_before)
     best = maximize_gain(axis)
     return {
         "axis": axis.value,
-        # A dict literal a row: dict(zip(...)) takes about three times as long.
-        "records": [
-            {"t": t, "c_before": before, "c_after": after, "delta_c": delta}
-            for t, before, after, delta in zip(*(c.tolist() for c in columns))
-        ],
+        "columns": (ts, c_before, c_after, c_after - c_before),
         "max": dict(t=best.t_star, c_before=best.c_before, c_after=best.c_after,
                     delta_c=best.delta_c),
     }
 
 
-def _sweep_csv(payload: dict) -> str:
-    """A header of the record keys, one row per record, then the ``# max`` line."""
-    # One f-string a row: a per-value join takes about a third longer.
-    rows = [
-        f"{r['t']:.12g},{r['c_before']:.12g},{r['c_after']:.12g},{r['delta_c']:.12g}"
-        for r in payload["records"]
-    ]
-    return "\n".join([",".join(payload["max"]), *rows, f"# max {_text(payload['max'])}"]) + "\n"
+def _sweep_rows(payload: dict):
+    """The rows (t, c_before, c_after, delta_c) as floats, ``_SLICE`` points at a time."""
+    columns = payload["columns"]
+    for start in range(0, len(columns[0]), _SLICE):
+        yield zip(*(c[start:start + _SLICE].tolist() for c in columns))
+
+
+def _sweep_json(payload: dict):
+    """``_json_text`` of ``{axis, records, max}``, one record a point, a slice at a time."""
+    # The payload's JSON with one placeholder record, split around it.
+    frame = {"axis": payload["axis"], "records": ["*"], "max": payload["max"]}
+    head, tail = _json_text(frame).split('"*"')
+    yield head
+    sep = ""
+    for rows in _sweep_rows(payload):
+        # A dict literal a row: dict(zip(...)) takes about three times as long.
+        records = [{"t": t, "c_before": b, "c_after": a, "delta_c": d} for t, b, a, d in rows]
+        yield sep + _json_text(records)[1:-1]
+        sep = ", "
+    yield tail + "\n"
+
+
+def _sweep_csv(payload: dict):
+    """The ``max`` keys as header, one row a point, then the ``# max`` line, a slice at a time."""
+    yield ",".join(payload["max"]) + "\n"
+    for rows in _sweep_rows(payload):
+        # One f-string a row: a per-value join takes about a third longer.
+        yield "".join([f"{t:.12g},{b:.12g},{a:.12g},{d:.12g}\n" for t, b, a, d in rows])
+    yield f"# max {_text(payload['max'])}\n"
 
 
 def _cmd_sweep(args) -> int:
@@ -239,10 +257,10 @@ def _cmd_sweep(args) -> int:
     if args.points > _MAX_POINTS:
         raise _UsageError(f"--points must be at most {_MAX_POINTS}")
     payload = _sweep_payload(MeasurementAxis(args.axis), args.points)
-    text = _json_text(payload) + "\n" if args.format == "json" else _sweep_csv(payload)
+    text = _sweep_json(payload) if args.format == "json" else _sweep_csv(payload)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}") from exc
     return 0

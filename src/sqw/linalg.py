@@ -3,6 +3,13 @@
 Thin, deterministic layer over numpy: read-only constant matrices, the
 Hermitian eigendecomposition and the package's one binding of LAPACK and of
 vdot. All operations are pure and safe to call concurrently.
+
+``herm_eigen`` remembers its last success in a one-slot memo keyed by the
+matrix's complex128 bytes, so decomposing a record that ``validate_density``
+returned costs no second LAPACK call. Only successes are stored, and every
+caller gets its own copies of the arrays. The slot holds one immutable tuple
+that a miss replaces whole, so a concurrent reader sees either the old entry
+or the new one, never a mix of the two.
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ COEFF_TOL = 1e-12
 #: ``herm_eigen`` skips its finite and scale checks up to this sum of squares.
 _SCALE_ABOVE = 1e150
 
+# herm_eigen's last success, (key, w, v); its one item is replaced whole.
+_last = [(None, None, None)]
+
 
 def _as_mat4(m) -> Mat4:
     # The package's one shape rule for matrices; see herm_eigen.
@@ -96,11 +106,25 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.eigh`` turns a non-convergence into ``LinAlgError``: it gets
     only finite matrices within ``HERMITIAN_TOL`` of Hermitian, and on success
     the gufunc clears the floating-point flags, so not even entries near
-    +-1e308 make a numpy warning.
+    +-1e308 make a numpy warning. A finite Hermitian matrix whose spectrum
+    exceeds the float range, which only a sum of squares above 1e150 allows,
+    raises ``PreconditionViolated`` with violation inf rather than return an
+    infinite eigenvalue.
+
+    A repeat of the last successful matrix, byte for byte in complex128
+    (so ``-0.0`` and ``0.0`` differ), is answered from a one-slot memo:
+    fresh copies of the stored ``w`` and ``v``, the same bytes LAPACK gave.
+    A failing call leaves the slot as it was. Each miss replaces the slot's
+    one tuple whole, which keeps the function safe to call concurrently.
     """
     m = _as_mat4(m)
+    key = m.tobytes()
+    last_key, w, v = _last[0]
+    if key == last_key:
+        return w.copy(), v.copy()
     x, scale = m, 1.0
-    if not _vdot(m, m).real <= _SCALE_ABOVE:
+    large = not _vdot(m, m).real <= _SCALE_ABOVE
+    if large:
         s = float(np.abs(m).max())
         if not math.isfinite(s):
             finite = np.isfinite(m)
@@ -120,4 +144,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
             violation=defect,
         )
     w, v = _eigh(m, signature="D->dD")
+    if large and not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise PreconditionViolated("matrix spectrum exceeds the float range", violation=math.inf)
+    _last[0] = (key, w.copy(), v.copy())
     return w, v

@@ -57,10 +57,10 @@ def validate_density(m) -> DensityMatrix:
     numpy warning. A trace defect within the rounding of the diagonal sum
     (4 eps max|m_ij|) is left to the positivity check: entries that large
     which cancel to a wrong trace leave a negative eigenvalue, so the matrix
-    raises ``NotPSD``. A shape other than (4, 4) raises
-    ``PreconditionViolated`` and a NaN or infinite entry raises
-    ``NotHermitian``, both from ``herm_eigen``, whose docstring gives their
-    violations.
+    raises ``NotPSD``. A shape other than (4, 4) or a spectrum beyond the
+    float range raises ``PreconditionViolated`` and a NaN or infinite entry
+    raises ``NotHermitian``, all from ``herm_eigen``, whose docstring gives
+    their violations.
     """
     m = _as_mat4(m)
     w, v = herm_eigen(m)

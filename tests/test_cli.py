@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from sqw import cli, report
 from sqw.cli import main
 from sqw.report import CheckResult, Report
-from sqw.s3world import MeasurementAxis, gain
+from sqw.s3world import MeasurementAxis, gain, gain_curve, maximize_gain, t_grid
 
 from draws import theta_grid
 
@@ -407,6 +408,40 @@ def test_sweep_matches_golden_bytes(capsys, tmp_path, axis, points, fmt):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [1, 7, 101])
+def test_sweep_slices_join_to_the_golden_bytes(capsys, monkeypatch, tmp_path, size, fmt):
+    # Slices of one point, of a size that leaves a remainder, and of the whole grid.
+    monkeypatch.setattr(cli, "_SLICE", size)
+    out = tmp_path / "sweep"
+    code, _, _ = run(capsys, "sweep", "--axis", "h3", "--points", "101", "--out", str(out),
+                     "--format", fmt)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"sweep_h3_101.{fmt}").read_bytes()
+
+
+def test_sweep_json_is_the_dump_of_one_record_a_point(capsys, monkeypatch, tmp_path):
+    # 10^4 points in slices of 4,096 against json.dumps of the whole record list.
+    monkeypatch.setattr(cli, "_SLICE", 4096)
+    out = tmp_path / "sweep.json"
+    code, _, _ = run(capsys, "sweep", "--axis", "h2", "--points", "10000", "--out", str(out),
+                     "--format", "json")
+    assert code == 0
+    ts = t_grid(10_000)
+    c_before, c_after = gain_curve(MeasurementAxis.H2, ts)
+    best = maximize_gain(MeasurementAxis.H2)
+    payload = {
+        "axis": "h2",
+        "records": [
+            {"t": t, "c_before": b, "c_after": a, "delta_c": a - b}
+            for t, b, a in zip(ts.tolist(), c_before.tolist(), c_after.tolist())
+        ],
+        "max": {"t": best.t_star, "c_before": best.c_before, "c_after": best.c_after,
+                "delta_c": best.delta_c},
+    }
+    assert out.read_text(encoding="utf-8") == json.dumps(cli._rounded(payload)) + "\n"
+
+
 def _golden_payload(name: str) -> dict:
     # JSON writes a non-finite float as its text; read it back as the float.
     def floats(obj):
@@ -427,7 +462,10 @@ def test_text_golden_renders_the_json_golden(stem):
 @pytest.mark.parametrize("points", [2, 3, 7, 101])
 def test_csv_golden_renders_the_json_golden(axis, points):
     stem = f"sweep_{axis}_{points}"
-    csv = cli._sweep_csv(_golden_payload(f"{stem}.json"))
+    payload = _golden_payload(f"{stem}.json")
+    records = payload.pop("records")
+    payload["columns"] = tuple(np.array([r[key] for r in records]) for key in payload["max"])
+    csv = "".join(cli._sweep_csv(payload))
     assert csv == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
 
 
