@@ -3,13 +3,6 @@
 Thin, deterministic layer over numpy: read-only constant matrices, the
 Hermitian eigendecomposition and the package's one binding of LAPACK and of
 vdot. All operations are pure and safe to call concurrently.
-
-``herm_eigen`` remembers its last success in a one-slot memo keyed by the
-matrix's complex128 bytes, so decomposing a record that ``validate_density``
-returned costs no second LAPACK call. Only successes are stored, and every
-caller gets its own copies of the arrays. The slot holds one immutable tuple
-that a miss replaces whole, so a concurrent reader sees either the old entry
-or the new one, never a mix of the two.
 """
 
 from __future__ import annotations
@@ -36,8 +29,10 @@ def locked(rows) -> Mat4:
 UNIT = locked(np.eye(4))
 
 # The package's only LAPACK entry points: the gufuncs np.linalg.eigh and
-# np.linalg.svd(m, compute_uv=False) call. With the wrappers' complex signatures
+# np.linalg.svd(m, compute_uv=False) call. With the wrappers' complex loops
 # ("D->dD", "D->d") they give the wrappers' bits, without their errstate block.
+# herm_eigen's complex128 argument resolves to "D->dD" without naming it; the
+# oracle's M may be real, so its SVD names "D->d".
 # _vdot is the C function np.vdot dispatches to: its bits, without the dispatch.
 _eigh = _umath_linalg.eigh_lo
 _svd = _umath_linalg.svd
@@ -59,9 +54,6 @@ COEFF_TOL = 1e-12
 #: Above this entry modulus the squares in the Frobenius norm could overflow.
 #: ``herm_eigen`` skips its finite and scale checks up to this sum of squares.
 _SCALE_ABOVE = 1e150
-
-# herm_eigen's last success, (key, w, v); its one item is replaced whole.
-_last = [(None, None, None)]
 
 
 def _as_mat4(m) -> Mat4:
@@ -110,18 +102,8 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     exceeds the float range, which only a sum of squares above 1e150 allows,
     raises ``PreconditionViolated`` with violation inf rather than return an
     infinite eigenvalue.
-
-    A repeat of the last successful matrix, byte for byte in complex128
-    (so ``-0.0`` and ``0.0`` differ), is answered from a one-slot memo:
-    fresh copies of the stored ``w`` and ``v``, the same bytes LAPACK gave.
-    A failing call leaves the slot as it was. Each miss replaces the slot's
-    one tuple whole, which keeps the function safe to call concurrently.
     """
     m = _as_mat4(m)
-    key = m.tobytes()
-    last_key, w, v = _last[0]
-    if key == last_key:
-        return w.copy(), v.copy()
     x, scale = m, 1.0
     large = not _vdot(m, m).real <= _SCALE_ABOVE
     if large:
@@ -143,8 +125,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})",
             violation=defect,
         )
-    w, v = _eigh(m, signature="D->dD")
+    w, v = _eigh(m)
     if large and not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise PreconditionViolated("matrix spectrum exceeds the float range", violation=math.inf)
-    _last[0] = (key, w.copy(), v.copy())
     return w, v

@@ -12,7 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
-from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen, locked
+from .linalg import (
+    _SCALE_ABOVE, EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen, locked,
+)
 
 #: sigma_y (x) sigma_y, the conjugation used by the spin flip.
 SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
@@ -97,15 +99,16 @@ def entanglement_of_formation(concurrence: float) -> float:
 
     A NaN or infinite concurrence raises ``PreconditionViolated``.
     """
-    if not math.isfinite(concurrence):
-        reject_non_finite((concurrence,), "concurrence")
-    c = min(max(concurrence, 0.0), 1.0)
-    x = (1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0
+    if not 0.0 < concurrence < 1.0:
+        if not math.isfinite(concurrence):
+            reject_non_finite((concurrence,), "concurrence")
+        return 0.0 if concurrence < 1.0 else 1.0
+    x = (1.0 + math.sqrt(1.0 - concurrence * concurrence)) / 2.0
     y = 1.0 - x
-    e = 0.0 - x * math.log2(x)  # x >= 1/2
+    e = 0.0 - x * math.log2(x)  # x >= 1/2, so e >= 0
     if y > 0.0:
         e -= y * math.log2(y)
-    return min(max(e, 0.0), 1.0)
+    return min(e, 1.0)
 
 
 def concurrence_oracle(rho) -> ConcurrenceReport:
@@ -133,20 +136,25 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
     ``Sigma psi`` is taken as the signed row reversal ``Sigma`` amounts to.
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
     the one inside ``validate_density``. The SVD is the gufunc behind
-    ``np.linalg.svd``, with its bits. Only a record built by hand can hold a
-    NaN or infinite eigenvalue or eigenvector entry, or make ``M`` overflow
-    its squared norm; each raises
+    ``np.linalg.svd``, with its bits for a complex ``M``; a real ``M``, from
+    real eigenvectors built by hand, is read as complex. Only a record built
+    by hand can hold a NaN or infinite eigenvalue or eigenvector entry, or
+    make ``M`` overflow its squared norm; each raises
     ``PreconditionViolated("concurrence must be finite")``, the eigenvalues
     and the eigenvectors' squared norm checked before they reach ``psi``, so
-    numpy warns of nothing.
+    numpy warns of nothing. ``M``'s squared norm is taken only when
+    ``max(w) ||V||_F^2`` exceeds 1e150; below that it cannot overflow.
     """
     dm = _as_density(rho)
     w, v = dm.eigenvalues, dm.eigenvectors
-    finite = math.isfinite(sum(w.tolist())) and math.isfinite(_vdot(v, v).real)
+    wl, vv = w.tolist(), _vdot(v, v).real
+    finite = math.isfinite(sum(wl)) and math.isfinite(vv)
     if finite:
-        psi = v * np.sqrt(np.maximum(w, 0.0))
+        # np.maximum(w, 0.0) is w itself when every eigenvalue is positive.
+        psi = v * np.sqrt(w if min(wl) > 0.0 else np.maximum(w, 0.0))
         m = psi.T @ (_FLIP_SIGN * psi[::-1])
-        finite = math.isfinite(_vdot(m, m).real)
+        # ||M||_F <= ||psi||_F^2 <= max(w) ||V||_F^2
+        finite = max(wl) * vv <= _SCALE_ABOVE or math.isfinite(_vdot(m, m).real)
     if not finite:
         raise PreconditionViolated("concurrence must be finite", violation=1.0)
     l1, l2, l3, l4 = _svd(m, signature="D->d").tolist()

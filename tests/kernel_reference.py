@@ -1,12 +1,14 @@
 """The per-state kernel, ``gain`` and the group engine before their rewrites, and edge inputs.
 
 ``herm_eigen`` here takes the largest entry modulus on every call,
-``validate_density`` takes the trace with ``m.trace()``, ``assemble_x`` divides
-the whole matrix by 4 after building it, and ``gain`` runs the coefficient chain
-``concurrence_closed(measure_update(t_param(t), axis))``. ``generate`` closes
-its generators frontier by frontier, ``order`` multiplies an element until it
-reaches the identity, and ``perm_matrix`` writes its four ones into a zero
-matrix. The boundary tables in ``test_linalg``, ``test_twoqubit``,
+``validate_density`` takes the trace with ``m.trace()``, ``concurrence_oracle``
+clamps the eigenvalues and takes the squared norm of ``M`` on every call,
+``entanglement_of_formation`` clamps its argument and its result,
+``assemble_x`` divides the whole matrix by 4 after building it, and ``gain``
+runs the coefficient chain ``concurrence_closed(measure_update(t_param(t),
+axis))``. ``generate`` closes its generators frontier by frontier, ``order``
+multiplies an element until it reaches the identity, and ``perm_matrix``
+writes its four ones into a zero matrix. The boundary tables in ``test_linalg``, ``test_twoqubit``,
 ``test_xworld`` and ``test_s3world`` require the package to give the same bytes,
 or the same error with the same violation, on every input below;
 ``test_permworld`` requires the same subgroups, orders and matrices.
@@ -17,13 +19,13 @@ import math
 
 import numpy as np
 
-from sqw.errors import NotHermitian, NotPSD, TraceNotOne
+from sqw.errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
 from sqw.linalg import _SCALE_ABOVE, COEFF_TOL, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
 from sqw.permworld import IDENTITY, POINTS, Subgroup, _table, all_elements
 from sqw.s3world import (
     GainResult, concurrence_closed, measure_update, pure_concurrence, t_param,
 )
-from sqw.twoqubit import DensityMatrix
+from sqw.twoqubit import ConcurrenceReport, DensityMatrix
 
 
 def herm_eigen(m):
@@ -69,6 +71,33 @@ def validate_density(m):
     for a in (out, w, v):
         a.setflags(write=False)
     return DensityMatrix(out, w, v)
+
+
+def entanglement_of_formation(concurrence):
+    if not math.isfinite(concurrence):
+        raise ValueError("concurrence must be finite")
+    c = min(max(concurrence, 0.0), 1.0)
+    x = (1.0 + math.sqrt(max(1.0 - c * c, 0.0))) / 2.0
+    y = 1.0 - x
+    e = 0.0 - x * math.log2(x)
+    if y > 0.0:
+        e -= y * math.log2(y)
+    return min(max(e, 0.0), 1.0)
+
+
+def concurrence_oracle(dm):
+    w, v = dm.eigenvalues, dm.eigenvectors
+    finite = math.isfinite(sum(w.tolist())) and math.isfinite(np.vdot(v, v).real)
+    if finite:
+        psi = v * np.sqrt(np.maximum(w, 0.0))
+        m = psi.T @ (np.array([[-1.0], [1.0], [1.0], [-1.0]]) * psi[::-1])
+        finite = math.isfinite(np.vdot(m, m).real)
+    if not finite:
+        raise PreconditionViolated("concurrence must be finite", violation=1.0)
+    # The complex loop, as the package names it, for a real M too.
+    l1, l2, l3, l4 = np.linalg.svd(m.astype(complex), compute_uv=False).tolist()
+    c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
+    return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))
 
 
 def assemble_x(coeffs):

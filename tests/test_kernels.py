@@ -130,22 +130,58 @@ def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
         assert concurrence_oracle(dm).omegas == tuple(x * x for x in lam)
 
 
+def _oracle_bits(f, dm):
+    try:
+        r = f(dm)
+    except InvalidState as err:
+        return type(err), str(err), err.violation
+    return tuple(x.hex() for x in r.omegas), r.concurrence.hex(), r.eof.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_gives_the_bits_of_the_reference():
+    # The oracle skips np.maximum for a positive spectrum and the squared norm
+    # of M below max(w) ||V||_F^2 = 1e150; every output bit and error stays.
+    rng = np.random.default_rng(131)
+    states = [DensityMatrix(m, np.ones(4), m) for m in _edge_matrices(rng, 300)]
+    for m in _valid_matrices(rng, 200) + _generic_matrices(rng, 200):
+        w, v = np.linalg.eigh(m)
+        states.append(DensityMatrix(m, w, v))
+    v = states[-1].eigenvectors
+    spectra = (
+        [-0.0, 0.25, 0.25, 0.5], [0.0, 0.25, 0.25, 0.5], [-1e-12, 0.3, 0.3, 0.4],
+        [0.4, 0.1, 0.3, 0.2], [0.3, -0.1, 0.4, 0.4], [0.5, -0.0, 0.5, 0.0], [-0.1] * 4,
+        [5e-324] * 4,
+    )
+    states += [DensityMatrix(UNIT, np.array(w), v) for w in spectra]
+    # Real eigenvectors: M is complex all the same, so the SVD keeps its loop.
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    states += [DensityMatrix(UNIT, np.array(w), q) for w in spectra[:3]]
+    # Eigenvectors scaled across the bound and on to the overflow of M.
+    for scale in (1e70, 1e74, 5e74, 1e75, 1e76, 1e77, 3e77, 1e100, 1e150, 1e154):
+        states.append(DensityMatrix(UNIT, np.array([0.1, 0.2, 0.3, 0.4]), scale * v))
+    raised = 0
+    for dm in states:
+        bits = _oracle_bits(concurrence_oracle, dm)
+        assert bits == _oracle_bits(kernel_reference.concurrence_oracle, dm)
+        raised += isinstance(bits[0], type)
+    assert 0 < raised < len(states)
+
+
 @pytest.mark.filterwarnings("error")
 def test_herm_eigen_gives_the_bytes_of_np_linalg_eigh():
-    # herm_eigen calls the gufunc behind np.linalg.eigh without the wrapper;
-    # a repeat is answered from its memo, with the same bytes.
+    # herm_eigen calls the gufunc behind np.linalg.eigh without the wrapper.
     rng = np.random.default_rng(127)
     states = _valid_matrices(rng, 200) + _generic_matrices(rng, 200)
     accepted = 0
     for m in states + [m for _, m in kernel_reference.boundary_matrices()]:
         try:
-            first = herm_eigen(m)
+            w, v = herm_eigen(m)
         except InvalidState:
             continue
         accepted += 1
         expected = np.linalg.eigh(m)
-        for w, v in (first, herm_eigen(m)):
-            assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+        assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
     assert accepted > len(states)
 
 

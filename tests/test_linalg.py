@@ -1,7 +1,5 @@
 import ast
 import math
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +7,6 @@ import pytest
 
 from sqw import linalg
 from sqw.errors import NotHermitian, PreconditionViolated
-from sqw.twoqubit import validate_density
 
 import kernel_reference
 
@@ -165,118 +162,6 @@ def test_herm_eigen_deterministic():
     w1, v1 = linalg.herm_eigen(m)
     w2, v2 = linalg.herm_eigen(m)
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-
-
-def random_density(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def eigh_bytes(m):
-    w, v = np.linalg.eigh(m)
-    return w.tobytes(), v.tobytes()
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    # Counts herm_eigen's LAPACK runs; np.linalg.eigh does not go through it.
-    calls = []
-    real = linalg._eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_eigh", counting)
-    return calls
-
-
-def test_a_validated_record_decomposes_from_the_memo(lapack_calls):
-    dm = validate_density(random_density(np.random.default_rng(29)))
-    assert len(lapack_calls) == 1
-    w, v = linalg.herm_eigen(dm.m)
-    assert len(lapack_calls) == 1
-    assert (w.tobytes(), v.tobytes()) == eigh_bytes(dm.m)
-    assert w.flags.writeable and v.flags.writeable
-    assert not np.shares_memory(w, dm.eigenvalues) and not np.shares_memory(v, dm.eigenvectors)
-    w[:], v[:] = 0.0, 0.0
-    w2, v2 = linalg.herm_eigen(dm.m)
-    assert (w2.tobytes(), v2.tobytes()) == eigh_bytes(dm.m)
-    assert not np.shares_memory(w2, w) and len(lapack_calls) == 1
-
-
-def test_the_sign_of_a_zero_misses_the_memo(lapack_calls):
-    m = random_density(np.random.default_rng(31))
-    m[0, 1], m[1, 0] = 0.0, 0.0
-    flipped = m.copy()
-    flipped[0, 1] = complex(-0.0, 0.0)
-    assert np.array_equal(m, flipped) and m.tobytes() != flipped.tobytes()
-    linalg.herm_eigen(m)
-    w, v = linalg.herm_eigen(flipped)
-    assert len(lapack_calls) == 2
-    assert (w.tobytes(), v.tobytes()) == eigh_bytes(flipped)
-    # A miss's arrays are the caller's too: changing them leaves the memo as it was.
-    w[:], v[:] = 0.0, 0.0
-    w, v = linalg.herm_eigen(flipped)
-    assert (w.tobytes(), v.tobytes()) == eigh_bytes(flipped) and len(lapack_calls) == 2
-
-
-_TABLES = kernel_reference.boundary_matrices() + kernel_reference.trace_matrices()
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m", [m for _, m in _TABLES], ids=[name for name, _ in _TABLES])
-def test_a_repeat_gives_the_first_outcome(m):
-    # Twice in a row: the same bytes, or the same error class and violation.
-    for f in (linalg.herm_eigen, validate_density):
-        first = kernel_reference.outcome(f, m)
-        assert kernel_reference.outcome(f, m) == first
-
-
-def test_a_failure_leaves_the_last_success_in_the_memo(lapack_calls):
-    good = random_density(np.random.default_rng(37))
-    expected = eigh_bytes(good)
-    linalg.herm_eigen(good)
-    overflow = np.diag([1.7e308, 1.7e308, 0.5, 0.5]).astype(complex)
-    overflow[0, 1] = overflow[1, 0] = 1e308
-    bad = [
-        (NotHermitian, good + np.triu(np.ones((4, 4)), 1)),
-        (PreconditionViolated, np.zeros((4, 3))),
-        (PreconditionViolated, overflow),  # fails after its LAPACK run
-    ]
-    for error, m in bad:
-        with pytest.raises(error):
-            linalg.herm_eigen(m)
-    calls = len(lapack_calls)
-    w, v = linalg.herm_eigen(good)
-    assert (w.tobytes(), v.tobytes()) == expected and len(lapack_calls) == calls
-
-
-def test_two_threads_each_get_their_own_matrix():
-    rng = np.random.default_rng(41)
-    mats = [random_density(rng) for _ in range(2)]
-    expected = [eigh_bytes(m) for m in mats]
-    wrong = [0, 0]
-    start = threading.Barrier(2, timeout=60)
-
-    def work(i):
-        start.wait()
-        for _ in range(2000):
-            w, v = linalg.herm_eigen(mats[i])
-            wrong[i] += (w.tobytes(), v.tobytes()) != expected[i]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and wrong == [0, 0]
 
 
 @pytest.mark.filterwarnings("error")

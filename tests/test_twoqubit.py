@@ -406,6 +406,19 @@ def test_eof_rejects_a_non_finite_concurrence(c):
     assert err.value.violation == 1
 
 
+def test_eof_gives_the_bits_of_the_reference():
+    # The endpoints return early and the clamps that cannot bite are gone.
+    rng = np.random.default_rng(401)
+    edges = [
+        0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, 1e-300, 1e-10, 1e-8, 0.5,
+        1.0 - 2.0**-53, 1.0 - 1e-9, 1.0 + 2.0**-52, 0, 1, False, True, np.float64(0.3),
+    ]
+    grid = edges + rng.random(5000).tolist() + (rng.random(500) * 1e-7).tolist()
+    grid += (1.0 - rng.random(500) * 1e-9).tolist()
+    for c in grid:
+        assert entanglement_of_formation(c).hex() == kernel_reference.entanglement_of_formation(c).hex()
+
+
 def test_eof_strictly_increasing_in_concurrence():
     grid = np.linspace(1e-6, 1.0, 1000)
     values = [entanglement_of_formation(c) for c in grid]
