@@ -28,9 +28,9 @@ _EXPORTS = {
     ),
     "xworld": ("PureXClass", "XCoeffs", "assemble_x", "classify_pure_x", "x_spectrum"),
     "s3world": (
-        "GainResult", "MeasurementAxis", "S3Coeffs", "assemble_s3", "concurrence_closed",
-        "gain", "gain_closed_form", "gain_curve", "ie_reach", "ie_state", "is_pure",
-        "maximize_gain", "mean_values", "measure_update", "measure_update_matrix",
+        "GainResult", "MeasurementAxis", "S3Coeffs", "assemble_s3", "concurrence_closed", "gain",
+        "gain_closed_form", "gain_curve", "ie_reach", "ie_state", "is_pure", "maximize_gain",
+        "mean_values", "measure_update", "measure_update_matrix", "pure_concurrence",
         "reduce_five_coeff", "s3_spectrum", "swap_concurrence", "t_grid", "t_param",
     ),
     "permworld": (

@@ -46,6 +46,8 @@ class Perm4(_Images):
         return self.images[point - 1]
 
     def __mul__(self, other: "Perm4") -> "Perm4":
+        if not isinstance(other, Perm4):
+            raise TypeError(f"operands must be Perm4, got {other!r}")
         return Perm4(tuple(other.images[i - 1] for i in self.images))
 
     def order(self) -> int:

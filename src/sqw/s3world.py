@@ -268,22 +268,19 @@ def _closed_concurrence(b: float, c: float) -> float:
 
 
 def swap_concurrence(coeffs: S3Coeffs) -> float:
-    """Verified concurrence 2 min(|d|, sqrt((1/2 + b)(1/2 + c))) of a unit-``a`` state.
+    """Verified concurrence 2|d| of a unit-``a`` state.
 
     Matches ``concurrence_oracle`` on the whole validity disk, where
-    ``concurrence_closed`` does only on the pure circle. Derivation: let
-    p = 1/2 + b and q = 1/2 + c. The matrix rho is real, its last row is
-    zero, and so is the first column of rho~ = Sigma rho Sigma, Sigma =
-    sigma_y (x) sigma_y. So the only nonzero principal minor of rho rho~ of
-    order 2 or more is the block of rows and columns 1, 2,
-    [[pq + d^2, 2dq], [2dp, pq + d^2]]. Its trace 2(pq + d^2) and
-    determinant (pq - d^2)^2 make the spin-flip eigenvalues (d +- sqrt(pq))^2
-    and two zeros, so C = |d| + sqrt(pq) - ||d| - sqrt(pq)| = 2 min(|d|,
-    sqrt(pq)). Raises ``PreconditionViolated`` off the unit-``a`` slice and
-    ``OutsideValidityWindow`` outside it; pq is clamped against rounding.
+    ``concurrence_closed`` does only on the pure circle. With P = (1/2 + b)
+    (1/2 + c), the spin-flip eigenvalues are (d +- sqrt(P))^2 and two zeros;
+    on the slice P = d^2 + q, with q the pair sum, and q >= 0 in the window,
+    so C = 2 min(|d|, sqrt(P)) = 2|d|. The min is not kept: its second arm
+    wins only by rounding, or at a pair sum the window's tolerance admits
+    below 0, where the oracle still gives 2|d|. Raises ``PreconditionViolated``
+    off the unit-``a`` slice and ``OutsideValidityWindow`` outside it.
     """
     _require_unit_a_state(coeffs)
-    return min(2.0 * abs(coeffs.d), _closed_concurrence(coeffs.b, coeffs.c))
+    return 2.0 * abs(coeffs.d)
 
 
 def _not_an_axis(axis) -> TypeError:
@@ -397,12 +394,11 @@ def gain_closed_form(axis: MeasurementAxis, t: float) -> float:
 def t_grid(n: int) -> np.ndarray:
     """The compactified grid t_k = tan(k pi / n - pi / 2), k = 1..n, as float64.
 
-    The last point (k = n, theta = pi/2) is ``math.inf``. Each tangent is taken
-    with ``math.tan``, so the values equal the scalar loop's bit for bit
-    (``np.tan`` differs from it in the last place on some grid points).
-    Raises ``PreconditionViolated`` for ``n < 1``, with the shortfall
-    ``1 - n`` as its violation, and ``TypeError`` for an ``n`` that is not an
-    integer (``operator.index``), NaN included.
+    The last point (k = n, theta = pi/2) is ``math.inf``. Each value is
+    ``math.tan`` of its angle (``np.tan`` differs from it in the last place on
+    some grid points). Raises ``PreconditionViolated`` for ``n < 1``, with the
+    shortfall ``1 - n`` as its violation, and ``TypeError`` for an ``n`` that
+    is not an integer (``operator.index``), NaN included.
     """
     n = operator.index(n)
     if n < 1:
@@ -420,15 +416,17 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     on arrays, then ``concurrence_closed``'s float operations, so every entry
     equals the scalar value bit for bit, and the same checks (finite
     coefficients, a + b + c + d = 1/2 and the [0, 1/12] window, before and
-    after the channel). If any point fails, the first one is re-run through
-    ``gain``, which raises its exact error. Worth it for grids: a batch of one
-    costs about seventeen scalar calls. ``maximize_gain`` searches only
-    through it. Strings, bytes, a ``bytearray`` and object arrays raise
-    ``TypeError``, as a string does in every scalar route.
+    after the channel). Both arrays have the shape of ``ts``, 0-d included.
+    If any point fails, the first one is re-run through ``gain``, which
+    raises its exact error. Worth it for grids: a batch of one costs about
+    seventeen scalar calls. ``maximize_gain`` searches only through it.
+    Strings, bytes, a ``bytearray`` and object arrays raise ``TypeError``, as
+    a string does in every scalar route.
     """
     if isinstance(ts, bytearray) or np.asarray(ts).dtype.kind in _PARSED_KINDS:
         raise TypeError(f"t must be real number, got {ts!r}")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    shape, ts = ts.shape, np.atleast_1d(ts)
     # At t = +-inf, u = +-0 gives the limit point up to the sign of a zero
     # coefficient, which no output and no check depends on.
     big = np.abs(ts) > 1.0
@@ -448,7 +446,7 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     prod = (0.5 + after[0]) * (0.5 + after[1])
     # max(prod, 0.0) as Python evaluates it: -0.0 and NaN pass through.
     c_after = 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
-    return c_before, c_after
+    return c_before.reshape(shape), c_after.reshape(shape)
 
 
 #: Points of ``maximize_gain``'s grid. Even, so t = 0 is grid point n/2, and

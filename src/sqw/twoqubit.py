@@ -12,14 +12,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
-from .linalg import (
-    _SCALE_ABOVE, EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen, locked,
-)
+from .linalg import _SCALE_ABOVE, EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen
 
-#: sigma_y (x) sigma_y, the conjugation used by the spin flip.
-SPIN_FLIP_OP = locked([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-# SPIN_FLIP_OP is a signed row reversal: SPIN_FLIP_OP @ x equals
-# _FLIP_SIGN * x[::-1], up to the signs of zeros.
+# sigma_y (x) sigma_y, the conjugation used by the spin flip, as a signed row
+# reversal: (sigma_y (x) sigma_y) @ x equals _FLIP_SIGN * x[::-1], up to the
+# signs of zeros.
 _FLIP_SIGN = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 

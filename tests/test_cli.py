@@ -243,14 +243,31 @@ def test_measure_ie_fixed_point(capsys):
 )
 @pytest.mark.parametrize("axis", ["h1", "h2", "h3"])
 def test_measure_delta_c_verified_is_the_oracle_change(capsys, state, axis):
-    # delta_c stays the paper's closed form; delta_c_verified is the swap
-    # min-form, which the oracle reproduces on the whole disk.
+    # delta_c stays the paper's closed form; delta_c_verified is the change of
+    # the verified form 2|d|, which the oracle reproduces on the whole disk.
     code, out, _ = run(capsys, "measure", "--axis", axis, *state, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert list(payload)[-2:] == ["delta_c", "delta_c_verified"]
     oracle = payload["after"]["concurrence_oracle"] - payload["before"]["concurrence_oracle"]
     assert payload["delta_c_verified"] == pytest.approx(oracle, abs=1e-10)
+
+
+def test_measure_delta_c_verified_at_the_window_edge(capsys):
+    # A pure state whose pair sum is just below 0, which the window's tolerance
+    # admits. H3 keeps d, so the verified concurrence 2|d| does not move, and
+    # the oracle moves by rounding only.
+    state = ("--b", "-3.0230071792203272e-06", "--c", "-0.49999999998352285",
+             "--d", "3.0229907021506186e-06")
+    code, out, _ = run(capsys, "measure", "--axis", "h3", *state)
+    assert code == 0
+    assert out.splitlines()[-1] == "delta_c_verified: 0"
+    code, out, _ = run(capsys, "measure", "--axis", "h3", *state, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["delta_c_verified"] == 0.0
+    oracle = payload["after"]["concurrence_oracle"] - payload["before"]["concurrence_oracle"]
+    assert abs(oracle) <= 1e-11
 
 
 def test_measure_h2_at_zero(capsys):

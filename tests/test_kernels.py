@@ -26,7 +26,7 @@ from sqw.s3world import (
     CASIMIR, H1, H2, H3, MeasurementAxis, assemble_s3, ie_state, mean_values,
     measure_update_matrix, t_param,
 )
-from sqw.twoqubit import _FLIP_SIGN, SPIN_FLIP_OP, DensityMatrix, concurrence_oracle
+from sqw.twoqubit import _FLIP_SIGN, DensityMatrix, concurrence_oracle
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
 import kernel_reference
@@ -34,6 +34,7 @@ from draws import random_s3_coeffs, random_x_coeffs, theta_grid
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e155, -1e155)
 ORDINARY = (1.0, -0.25, 0.1)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
 
 def _edge_matrices(rng, n, edges=EDGES):
@@ -113,12 +114,13 @@ def test_mean_values_are_the_traces_of_the_swap_products():
 
 
 def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
-    # M = psi^T (SPIN_FLIP_OP psi): the oracle's matrix, with the flip as a
-    # product, and its singular values from np.linalg.svd, whose bits the
+    # M = psi^T (sigma_y (x) sigma_y psi): the oracle's matrix, with the flip as
+    # a product, and its singular values from np.linalg.svd, whose bits the
     # oracle's bare gufunc must keep. Eigenvectors with edge entries and unit
     # weights make psi = v; +-1e155 would overflow M in either form, so +-1e75
     # stands in for it.
     rng = np.random.default_rng(113)
+    flip = np.kron(SIGMA_Y, SIGMA_Y)
     edges = EDGES[:-2] + (1e75, -1e75)
     states = [DensityMatrix(m, np.ones(4), m) for m in _edge_matrices(rng, 500, edges)]
     for m in _valid_matrices(rng, 200) + _generic_matrices(rng, 200):
@@ -126,7 +128,7 @@ def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
         states.append(DensityMatrix(m, w, v))
     for dm in states:
         psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
-        lam = np.linalg.svd(psi.T @ (SPIN_FLIP_OP @ psi), compute_uv=False).tolist()
+        lam = np.linalg.svd(psi.T @ (flip @ psi), compute_uv=False).tolist()
         assert concurrence_oracle(dm).omegas == tuple(x * x for x in lam)
 
 
@@ -187,15 +189,14 @@ def test_herm_eigen_gives_the_bytes_of_np_linalg_eigh():
 
 def test_literal_constants_equal_their_numpy_expressions():
     # Written as literals so that importing the package runs no numpy kernel.
-    sigma_y = np.array([[0, -1j], [1j, 0]])
     pairs = [
         (CASIMIR, H1 + H2 + H3),
         (E, np.diag([1, -1, -1, 1])),
         (LAMBDA[2], np.diag([1, 0, 0, -1])),
         (TAU[2], np.diag([0, 1, -1, 0])),
-        (SPIN_FLIP_OP, np.kron(sigma_y, sigma_y)),
-        (SPIN_FLIP_OP, _FLIP_SIGN * UNIT[::-1]),
     ]
     for constant, expression in pairs:
         assert constant.dtype == complex and not constant.flags.writeable
         assert constant.shape == expression.shape and (constant == expression).all()
+    # The oracle's spin flip: sigma_y (x) sigma_y as a signed row reversal.
+    assert (_FLIP_SIGN * UNIT[::-1] == np.kron(SIGMA_Y, SIGMA_Y)).all()

@@ -129,6 +129,13 @@ def test_stabilizer_and_generate_read_integer_input():
     assert generate([Perm4([2, 1, 3, 4])]) == generate((Perm4((2, 1, 3, 4)),))
 
 
+@pytest.mark.parametrize("other", [(2, 1, 3, 4), 3, None], ids=["tuple", "int", "none"])
+def test_product_with_a_non_permutation_raises_type_error(other):
+    # Perm4 is a tuple, so an unchecked product would read other.images or repeat.
+    with pytest.raises(TypeError, match=r"^operands must be Perm4, got "):
+        Perm4((1, 2, 3, 4)) * other
+
+
 def test_stabilizer_of_four_realizes_the_generator_set():
     generator_set = {
         m.real.astype(int).tobytes()

@@ -387,6 +387,26 @@ def test_the_two_concurrences_differ_by_the_pair_sum():
         assert abs(excess) <= 1e-15
 
 
+@pytest.mark.parametrize("q", [-9e-13, -5e-13, -1e-13, 0.0])
+def test_swap_concurrence_matches_the_oracle_at_the_lower_window_edge(q):
+    # The window admits pair sums down to -COEFF_TOL, where sqrt(d^2 + q) falls
+    # below |d| and 2 min(|d|, sqrt(d^2 + q)) leaves the oracle, most where |d|
+    # is near sqrt(-q). So the angles are a grid of the whole circle plus points
+    # close to 7 pi / 6 and 11 pi / 6, where d = 0.
+    rho = math.sqrt(2.0 * (1.0 / 12.0 - q))
+    phis = np.linspace(0.0, 2 * math.pi, 2001).tolist()
+    for zero in (7 * math.pi / 6, 11 * math.pi / 6):
+        phis += [zero + s * 10.0**e for s in (-1, 1) for e in np.arange(-9.0, -1.0, 0.25)]
+    dev = 0.0
+    for phi in phis:
+        b, c, d = -1 / 6 + rho * (math.cos(phi) * PLANE_U + math.sin(phi) * PLANE_V)
+        coeffs = S3Coeffs(1.0, float(b), float(c), float(d))
+        assert abs(pair_sum(coeffs) - q) <= 1e-15
+        oracle = concurrence_oracle(assemble_s3(coeffs)).concurrence
+        dev = max(dev, abs(swap_concurrence(coeffs) - oracle))
+    assert dev <= 1e-11
+
+
 def test_oracle_omegas_follow_root_formula():
     rng = np.random.default_rng(83)
     for _ in range(300):
@@ -578,8 +598,9 @@ def test_gain_curve_nan_raises_like_gain(axis):
 @pytest.mark.parametrize("axis", AXES)
 @pytest.mark.parametrize(
     "ts",
-    ([0.5], [math.inf], [], [[0.25, -0.75], [1.0, -0.0]], [[2.0, -3.0], [1e300, -math.inf]]),
-    ids=("inside", "infinity", "empty", "2-D inside", "2-D outside"),
+    (0.5, [0.5], [math.inf], [],
+     [[0.25, -0.75], [1.0, -0.0]], [[2.0, -3.0], [1e300, -math.inf]]),
+    ids=("0-d", "inside", "infinity", "empty", "2-D inside", "2-D outside"),
 )
 def test_gain_curve_on_one_side_of_the_unit_t_equals_gain(axis, ts):
     # Only one of gain_curve's two branches has points: the other assigns nothing.
