@@ -7,8 +7,10 @@ one JSON object: the error's class name, message and violation.
 Each subcommand builds one payload of raw values; JSON, text and CSV are
 renderings of it, and each rounds numbers to 12 significant digits once.
 Identical invocations produce byte-identical output.
-``twoqubit``, ``xworld`` and ``permworld`` are imported only by the
-subcommands that run them.
+Only ``errors`` and ``report`` are imported here; ``s3world``, ``linalg``,
+``twoqubit``, ``xworld`` and ``permworld``, and with them numpy, only by
+the subcommands that run them. ``sqw check s4``, ``--help`` and usage
+errors run without numpy.
 """
 
 from __future__ import annotations
@@ -18,26 +20,16 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import InvalidState
-from .linalg import PURE_TOL
 from .report import SUITES
-from .s3world import (
-    MeasurementAxis,
-    S3Coeffs,
-    assemble_s3,
-    concurrence_closed,
-    gain_curve,
-    ie_state,
-    is_pure,
-    is_unit_a,
-    maximize_gain,
-    mean_values,
-    measure_update,
-    swap_concurrence,
-    t_grid,
-    t_param,
-)
+
+if TYPE_CHECKING:
+    from .s3world import MeasurementAxis, S3Coeffs
+
+#: The ``--axis`` choices: the values of ``s3world.MeasurementAxis``.
+_AXES = ("h1", "h2", "h3")
 
 
 class _UsageError(Exception):
@@ -102,6 +94,8 @@ def _print_payload(payload: dict, fmt: str):
 
 
 def _state_report(coeffs: S3Coeffs) -> dict:
+    from .linalg import PURE_TOL
+    from .s3world import assemble_s3, concurrence_closed, is_pure, is_unit_a, mean_values
     from .twoqubit import concurrence_oracle, purity, validate_density
 
     dm = validate_density(assemble_s3(coeffs))
@@ -149,21 +143,25 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _coeffs_from_args(args) -> S3Coeffs:
+    """The state the flags name; each usage error is raised before ``s3world`` loads."""
     coefficient_mode = any(v is not None for v in (args.a, args.b, args.c, args.d))
     modes = int(args.ie) + int(args.t is not None) + int(coefficient_mode)
     if modes != 1:
         raise _UsageError("give exactly one of --ie, --t, or --b/--c/--d")
+    if args.t is not None and math.isnan(args.t):
+        raise _UsageError("--t must be a number or 'inf'")
+    a = 1.0 if args.a is None else args.a
+    if coefficient_mode:
+        if any(v is None for v in (args.b, args.c, args.d)):
+            raise _UsageError("coefficient mode needs all of --b, --c and --d")
+        if not all(math.isfinite(v) for v in (a, args.b, args.c, args.d)):
+            raise _UsageError("coefficients must be finite")
+    from .s3world import S3Coeffs, ie_state, t_param
+
     if args.ie:
         return ie_state()
     if args.t is not None:
-        if math.isnan(args.t):
-            raise _UsageError("--t must be a number or 'inf'")
         return t_param(args.t)
-    if any(v is None for v in (args.b, args.c, args.d)):
-        raise _UsageError("coefficient mode needs all of --b, --c and --d")
-    a = 1.0 if args.a is None else args.a
-    if not all(math.isfinite(v) for v in (a, args.b, args.c, args.d)):
-        raise _UsageError("coefficients must be finite")
     return S3Coeffs(a, args.b, args.c, args.d)
 
 
@@ -187,8 +185,10 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    axis = MeasurementAxis(args.axis)
     before = _coeffs_from_args(args)
+    from .s3world import MeasurementAxis, concurrence_closed, measure_update, swap_concurrence
+
+    axis = MeasurementAxis(args.axis)
     after = measure_update(before, axis)
     payload = {
         "axis": axis.value,
@@ -209,6 +209,8 @@ _SLICE = 65_536
 
 def _sweep_payload(axis: MeasurementAxis, points: int) -> dict:
     """The columns t, c_before, c_after and delta_c over ``t_grid(points)``, and the maximum."""
+    from .s3world import gain_curve, maximize_gain, t_grid
+
     ts = t_grid(points)
     c_before, c_after = gain_curve(axis, ts)
     best = maximize_gain(axis)
@@ -256,6 +258,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("--points must be at least 2")
     if args.points > _MAX_POINTS:
         raise _UsageError(f"--points must be at most {_MAX_POINTS}")
+    from .s3world import MeasurementAxis
+
     payload = _sweep_payload(MeasurementAxis(args.axis), args.points)
     text = _sweep_json(payload) if args.format == "json" else _sweep_csv(payload)
     try:
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted two-qubit families: verification and analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    axes = [axis.value for axis in MeasurementAxis]
 
     p_check = sub.add_parser("check", help="verify generator algebras / group facts")
     p_check.add_argument("world", choices=list(SUITES))
@@ -285,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.set_defaults(run=_cmd_state)
 
     p_measure = sub.add_parser("measure", help="apply one measurement channel")
-    p_measure.add_argument("--axis", choices=axes, required=True)
+    p_measure.add_argument("--axis", choices=_AXES, required=True)
     _add_state_flags(p_measure)
     p_measure.add_argument("--format", choices=["text", "json"], default="text")
     p_measure.set_defaults(run=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="tabulate gain curves over t")
-    p_sweep.add_argument("--axis", choices=axes, required=True)
+    p_sweep.add_argument("--axis", choices=_AXES, required=True)
     p_sweep.add_argument("--points", type=int, default=1001)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")

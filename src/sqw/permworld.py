@@ -2,7 +2,10 @@
 
 Exhaustive subgroup enumeration, point stabilizers and the permutation
 matrix representation whose point-4 stabilizer realizes exactly the swap
-and cycle observables of the restricted two-qubit family.
+and cycle observables of the restricted two-qubit family. ``S3_GENERATORS``
+is the one written table of those observables; ``s3world`` builds its
+matrices from it. Only ``perm_matrix`` uses numpy, and imports it when
+called, so ``sqw check s4`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import _validated_make
-from .linalg import UNIT, Mat4
+
+if TYPE_CHECKING:
+    from .linalg import Mat4
 
 POINTS = (1, 2, 3, 4)
 
@@ -55,6 +60,15 @@ class Perm4(_Images):
 
 
 IDENTITY = Perm4((1, 2, 3, 4))
+#: The five other permutations fixing point 4: the swaps of points (1, 2),
+#: (1, 3) and (2, 3), and the cyclic shifts A: 1 -> 2 -> 3 -> 1 and B = A^-1.
+S3_GENERATORS = {
+    "H1": Perm4((2, 1, 3, 4)),
+    "H2": Perm4((3, 2, 1, 4)),
+    "H3": Perm4((1, 3, 2, 4)),
+    "A": Perm4((2, 3, 1, 4)),
+    "B": Perm4((3, 1, 2, 4)),
+}
 
 
 def all_elements() -> tuple[Perm4, ...]:
@@ -124,6 +138,8 @@ def stabilizer(point: int) -> Subgroup:
 
 def perm_matrix(p: Perm4) -> Mat4:
     """Rows p(1), ..., p(4) of the identity: a one at (i, p(i)), multiplicative in composition."""
+    from .linalg import UNIT
+
     return UNIT[[p(i) - 1 for i in POINTS]]
 
 

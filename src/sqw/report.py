@@ -2,19 +2,16 @@
 
 The suites check the X product table, the S3 product table and the S4
 subgroup facts; ``SUITES`` maps each ``sqw check`` world to its suite, and
-no other suite is defined here. ``xworld`` and ``permworld`` are imported
-only inside the suites that use them, so each command loads the modules it
-runs; the formula modules do not import this one.
+no other suite is defined here. Each suite imports what it uses (numpy,
+``linalg``, ``xworld``, ``s3world``, ``permworld``) in its body, so each
+command loads only the modules it runs: the S4 suite compares permutations,
+and ``sqw check s4`` runs without numpy. The formula modules do not import
+this one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
-
-from .linalg import UNIT
-from .s3world import CASIMIR, A, B, H1, H2, H3
 
 
 class CheckResult(NamedTuple):
@@ -39,12 +36,15 @@ def exact(name: str, lhs, rhs) -> CheckResult:
     The deviation is the largest entry of ``|lhs - rhs|``, so a failed check
     says how far off it was.
     """
+    import numpy as np
+
     passed = bool(np.array_equal(lhs, rhs))
     return CheckResult(name, passed, float(np.abs(lhs - rhs).max()))
 
 
 def _levi_civita(i: int, j: int, k: int) -> int:
-    return int(np.sign((j - i) * (k - i) * (k - j)))
+    p = (j - i) * (k - i) * (k - j)
+    return (p > 0) - (p < 0)
 
 
 def check_x_relations() -> Report:
@@ -54,6 +54,9 @@ def check_x_relations() -> Report:
     with exact floating-point equality; any discrepancy is reported as a
     failed check rather than an exception.
     """
+    import numpy as np
+
+    from .linalg import UNIT
     from .xworld import LAMBDA, TAU, E
 
     cases = []
@@ -75,7 +78,6 @@ def check_x_relations() -> Report:
     return Report(tuple(exact(*case) for case in cases))
 
 
-_GENERATORS = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
 #: The 25 products x*y = z of the S3 generator table, with "1" the identity.
 _PRODUCTS = (
     ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
@@ -91,7 +93,13 @@ _PRODUCTS = (
 
 def check_s3_relations() -> Report:
     """Verify the full S3 generator product table with exact equality."""
-    symbols = {"1": UNIT, **_GENERATORS}
+    import numpy as np
+
+    from .linalg import UNIT
+    from .s3world import CASIMIR, A, B, H1, H2, H3
+
+    generators = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
+    symbols = {"1": UNIT, **generators}
     zero = np.zeros((4, 4), complex)
     checks = [
         exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z])
@@ -99,24 +107,25 @@ def check_s3_relations() -> Report:
     ]
     checks.append(exact("A = adjoint(B)", A, B.conj().T))
     checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
-    for name, g in _GENERATORS.items():
+    for name, g in generators.items():
         checks.append(exact(f"[C, {name}] = 0", CASIMIR @ g - g @ CASIMIR, zero))
     return Report(tuple(checks))
 
 
 def _s4_checks() -> tuple[Report, dict]:
     # The subgroup facts of S4, and the two counts printed beside them.
-    from .permworld import classify, enumerate_subgroups, perm_matrix, stabilizer
+    # The S3 matrices are perm_matrix of S3_GENERATORS, and perm_matrix is an
+    # injective homomorphism, so the matrix sets are equal when the permutation sets are.
+    from .permworld import IDENTITY, S3_GENERATORS, classify, enumerate_subgroups, stabilizer
 
     subgroups = enumerate_subgroups()
     order6 = [s for s in subgroups if s.order == 6]
-    generator_set = {m.real.astype(np.int8).tobytes() for m in (UNIT, *_GENERATORS.values())}
-    stab_set = {perm_matrix(p).real.astype(np.int8).tobytes() for p in stabilizer(4)}
+    generator_set = {IDENTITY, *S3_GENERATORS.values()}
     checks = (
         CheckResult("subgroup count = 30", len(subgroups) == 30),
         CheckResult("order-6 subgroup count = 4", len(order6) == 4),
         CheckResult("every order-6 subgroup is S3", all(classify(s) == "S3" for s in order6)),
-        CheckResult("stabilizer(4) matrices = generator set", stab_set == generator_set),
+        CheckResult("stabilizer(4) matrices = generator set", set(stabilizer(4)) == generator_set),
         CheckResult("every subgroup order divides 24", all(24 % s.order == 0 for s in subgroups)),
     )
     extra = {"subgroup_count": len(subgroups), "order6_count": len(order6)}

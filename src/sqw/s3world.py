@@ -2,7 +2,8 @@
 
 The observables are the six permutation matrices fixing the fourth basis
 state: three pair swaps ``H1, H2, H3`` and the two cyclic shifts ``A`` and
-``B = A^dagger`` of the first three basis states. Their sum-of-swaps
+``B = A^dagger`` of the first three basis states, built from the group
+engine's table ``permworld.S3_GENERATORS``. Their sum-of-swaps
 ``CASIMIR = H1 + H2 + H3`` commutes with every generator. States in the
 family are parametrized by four real coefficients ``(a, b, c, d)`` with
 ``a/2 + b H1 + c H2 + d H3`` and ``a + b + c + d = 1/2``; the analysis
@@ -26,6 +27,7 @@ from .errors import (
     reject_non_finite,
 )
 from .linalg import COEFF_TOL, PURE_TOL, Mat4, _as_mat4, locked
+from .permworld import POINTS, S3_GENERATORS
 
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
@@ -33,13 +35,13 @@ WINDOW_MAX = 1.0 / 12.0
 _PARSED_KINDS = "SUO"
 
 
-#: Pair swaps of basis states (1,2), (1,3) and (2,3); each squares to 1.
-H1 = locked([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-H2 = locked([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-H3 = locked([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-#: The two cyclic shifts of the first three basis states, A = B^dagger.
-A = locked([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-B = locked([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+#: ``perm_matrix`` of each of ``S3_GENERATORS`` in the table's order, a one at
+#: (i, p(i)), built from nested lists so that importing runs no numpy kernel:
+#: pair swaps H1, H2, H3 of basis states (1,2), (1,3) and (2,3), each squaring
+#: to 1, and the two cyclic shifts A = B^dagger of the first three basis states.
+H1, H2, H3, A, B = (
+    locked([[int(p(i) == j) for j in POINTS] for i in POINTS]) for p in S3_GENERATORS.values()
+)
 #: H1 + H2 + H3, which commutes with all five generators.
 CASIMIR = locked([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 3]])
 
@@ -92,7 +94,7 @@ class MeasurementAxis(Enum):
 
 # p[k] is the column of the one in row k of a swap. Plain lists: numpy kernels
 # run at import cost every CLI process resident memory (0.5 MB for one 4x4 matmul).
-_SWAP_PERM = {a: [row.index(1) for row in a.matrix.real.tolist()] for a in MeasurementAxis}
+_SWAP_PERM = {a: [i - 1 for i in S3_GENERATORS[a.name].images] for a in MeasurementAxis}
 # Flat indices f with (h @ m @ h).flat[i] == m.flat[f[i]]: a swap is a
 # symmetric permutation, so (h m h)[k, l] = m[p[k], p[l]].
 _SWAP_INDEX = {a: np.array([[4 * k + l for l in p] for k in p]) for a, p in _SWAP_PERM.items()}
@@ -238,9 +240,11 @@ def t_param(t: float) -> S3Coeffs:
 def mean_values(coeffs: S3Coeffs) -> MeanValues:
     """Shifted swap expectations A_i = <H_i> - 1 and R = A1^2 + A2^2 + A3^2.
 
-    For every unit-``a`` state A1 + A2 + A3 = -3; R equals 9/2 exactly on
-    pure states and is smaller on mixed ones; a pair sum outside [0, 1/12],
-    where R would exceed 9/2, raises ``OutsideValidityWindow``.
+    For every unit-``a`` state A1 + A2 + A3 = -3 and R = 9/2 - 18 q, with q
+    the pair sum: R is 9/2 on pure states (q = 0), 3 at q = 1/12 and
+    between on mixed ones. The window admits q down to -COEFF_TOL, so an
+    accepted state has R <= 9/2 + 18 COEFF_TOL, up to rounding. A pair sum
+    outside the window raises ``OutsideValidityWindow``.
     """
     _require_unit_a_state(coeffs)
     # tr(rho H): the four entries of assemble_s3 that H picks, in np.trace's pairwise order.

@@ -8,10 +8,13 @@ clamps the eigenvalues and takes the squared norm of ``M`` on every call,
 runs the coefficient chain ``concurrence_closed(measure_update(t_param(t),
 axis))``. ``generate`` closes its generators frontier by frontier, ``order``
 multiplies an element until it reaches the identity, and ``perm_matrix``
-writes its four ones into a zero matrix. The boundary tables in ``test_linalg``, ``test_twoqubit``,
-``test_xworld`` and ``test_s3world`` require the package to give the same bytes,
-or the same error with the same violation, on every input below;
-``test_permworld`` requires the same subgroups, orders and matrices.
+writes its four ones into a zero matrix. ``S3_MATRICES`` are the S3
+generators as 0/1 literals, the written reference for the matrices that
+``s3world`` builds from ``permworld.S3_GENERATORS``. The boundary tables in
+``test_linalg``, ``test_twoqubit``, ``test_xworld`` and ``test_s3world``
+require the package to give the same bytes, or the same error with the same
+violation, on every input below; ``test_permworld`` requires the same
+subgroups, orders and matrices.
 """
 
 import itertools
@@ -166,6 +169,15 @@ def perm_matrix(p):
     for i in POINTS:
         m[i - 1, p(i) - 1] = 1.0
     return m
+
+
+S3_MATRICES = {
+    "H1": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex),
+    "H2": np.array([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "H3": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "A": np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "B": np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+}
 
 
 def gain_outcome(f, axis, t):

@@ -18,6 +18,7 @@ from sqw import permworld, report, s3world, twoqubit, xworld
 from sqw.linalg import UNIT, herm_eigen
 from sqw.s3world import MeasurementAxis
 
+import kernel_reference
 from draws import random_s3_coeffs, random_x_coeffs, theta_grid
 
 AXES = tuple(MeasurementAxis)
@@ -164,20 +165,20 @@ def test_criterion_7_group_facts():
     permworld.enumerate_subgroups.cache_clear()
     subgroups = permworld.enumerate_subgroups()
     order6 = [s for s in subgroups if s.order == 6]
-    generator_set = {
-        m.real.astype(int).tobytes()
-        for m in (UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
-    }
+    written = kernel_reference.S3_MATRICES
+    generator_set = {m.real.astype(int).tobytes() for m in (UNIT, *written.values())}
     stab_set = {
         permworld.perm_matrix(p).real.astype(int).tobytes()
         for p in permworld.stabilizer(4)
     }
+    derived = all(np.array_equal(getattr(s3world, name), m) for name, m in written.items())
     elapsed = time.perf_counter() - start
     ok = (
         len(subgroups) == 30
         and len(order6) == 4
         and all(permworld.classify(s) == "S3" for s in order6)
         and stab_set == generator_set
+        and derived
         and elapsed < 5.0
     )
     _line(7, "group facts", ok, f"{len(subgroups)} subgroups, {len(order6)} of order 6, {elapsed:.2f}s")
@@ -185,6 +186,7 @@ def test_criterion_7_group_facts():
     assert len(order6) == 4
     assert all(permworld.classify(s) == "S3" for s in order6)
     assert stab_set == generator_set
+    assert derived
     assert elapsed < 5.0
 
 

@@ -506,6 +506,14 @@ def test_usage_matches_golden_bytes(capsys, monkeypatch, name, argv, code):
     assert (out, err) == ((golden, "") if code == 0 else ("", golden))
 
 
+def test_axis_choices_are_the_measurement_axes():
+    # cli writes the choices out, so that building the parser imports no s3world.
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for command in ("measure", "sweep"):
+        axis = next(a for a in subcommands[command]._actions if a.dest == "axis")
+        assert list(axis.choices) == [a.value for a in MeasurementAxis]
+
+
 @pytest.mark.parametrize(
     "name, argv, code",
     [

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sqw import xworld
+from sqw import s3world, xworld
 from sqw.errors import InvalidState
 from sqw.linalg import UNIT, herm_eigen
 from sqw.s3world import (
@@ -200,3 +200,10 @@ def test_literal_constants_equal_their_numpy_expressions():
         assert constant.shape == expression.shape and (constant == expression).all()
     # The oracle's spin flip: sigma_y (x) sigma_y as a signed row reversal.
     assert (_FLIP_SIGN * UNIT[::-1] == np.kron(SIGMA_Y, SIGMA_Y)).all()
+
+
+def test_generators_built_from_the_group_table_are_locked():
+    # Built from permworld's table, not written as literals; test_permworld compares the values.
+    for name in kernel_reference.S3_MATRICES:
+        m = getattr(s3world, name)
+        assert m.dtype == np.complex128 and m.shape == (4, 4) and not m.flags.writeable, name

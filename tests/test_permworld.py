@@ -9,6 +9,7 @@ import kernel_reference
 from sqw import linalg, s3world
 from sqw.permworld import (
     IDENTITY,
+    S3_GENERATORS,
     Perm4,
     all_elements,
     classify,
@@ -46,10 +47,12 @@ def test_perm_matrix_homomorphism_all_pairs():
 
 
 def test_perm_matrix_named_images():
+    written = kernel_reference.S3_MATRICES
     assert np.array_equal(perm_matrix(IDENTITY), np.eye(4, dtype=complex))
-    # the 3-cycle 1 -> 2 -> 3 -> 1 is the cyclic-shift generator
-    assert np.array_equal(perm_matrix(Perm4((2, 3, 1, 4))), s3world.A)
-    assert np.array_equal(perm_matrix(Perm4((2, 1, 3, 4))), s3world.H1)
+    assert list(S3_GENERATORS) == list(written)
+    for name, m in written.items():
+        assert np.array_equal(perm_matrix(S3_GENERATORS[name]), m)
+        assert np.array_equal(getattr(s3world, name), m)
 
 
 def test_enumeration_counts():
@@ -137,14 +140,16 @@ def test_product_with_a_non_permutation_raises_type_error(other):
 
 
 def test_stabilizer_of_four_realizes_the_generator_set():
+    written = kernel_reference.S3_MATRICES
     generator_set = {
-        m.real.astype(int).tobytes()
-        for m in (linalg.UNIT, s3world.H1, s3world.H2, s3world.H3, s3world.A, s3world.B)
+        m.real.astype(int).tobytes() for m in (linalg.UNIT, *written.values())
     }
     stab_set = {
         perm_matrix(p).real.astype(int).tobytes() for p in stabilizer(4)
     }
     assert stab_set == generator_set
+    assert set(stabilizer(4)) == {IDENTITY, *S3_GENERATORS.values()}
+    assert all(np.array_equal(getattr(s3world, name), m) for name, m in written.items())
 
 
 def test_classification_labels():

@@ -33,32 +33,61 @@ def _python(args, **kwargs):
 
 # ---- import graph ----
 
-_BASE = {"sqw", "sqw.cli", "sqw.errors", "sqw.linalg", "sqw.report", "sqw.s3world"}
-
-
-@pytest.mark.parametrize(
-    "argv, extra",
-    [
-        (["sweep", "--axis", "h2", "--points", "11", "--out", os.devnull], set()),
-        (["check", "s3"], set()),
-        (["state", "--t", "1"], {"sqw.twoqubit"}),
-        (["measure", "--axis", "h1", "--t", "0"], {"sqw.twoqubit"}),
-        (["check", "s4", "--format", "json"], {"sqw.permworld"}),
-        (["check", "x"], {"sqw.twoqubit", "sqw.xworld"}),
-    ],
-)
-def test_command_loads_only_the_modules_it_runs(argv, extra):
+def _imports(argv):
+    """Exit code of ``python -m sqw *argv``, and every module it imported."""
     proc = _python(["-X", "importtime", "-m", "sqw", *argv], stdout=subprocess.DEVNULL)
-    assert proc.returncode == 0
     loaded = {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.decode().splitlines()
         if line.startswith("import time:")
     }
+    return proc.returncode, loaded
+
+
+_BASE = {"sqw", "sqw.cli", "sqw.errors", "sqw.report"}
+#: What a command that computes on S3 states loads beyond ``_BASE``.
+_S3 = {"sqw.linalg", "sqw.permworld", "sqw.s3world"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["sweep", "--axis", "h2", "--points", "11", "--out", os.devnull], _S3),
+        (["check", "s3"], _S3),
+        (["state", "--t", "1"], _S3 | {"sqw.twoqubit"}),
+        (["measure", "--axis", "h1", "--t", "0"], _S3 | {"sqw.twoqubit"}),
+        (["check", "s4", "--format", "json"], {"sqw.permworld"}),
+        (["check", "x"], {"sqw.linalg", "sqw.twoqubit", "sqw.xworld"}),
+        (["check", "s4"], {"sqw.permworld"}),
+        (["--help"], set()),
+    ],
+)
+def test_command_loads_only_the_modules_it_runs(argv, extra):
+    code, loaded = _imports(argv)
+    assert code == 0
     assert {m for m in loaded if m.split(".")[0] == "sqw"} == _BASE | extra
+    # check s4 compares permutations: only the commands that compute on matrices load numpy.
+    assert ("numpy" in loaded) == (argv[:2] != ["check", "s4"] and argv != ["--help"])
     # Records are NamedTuples, and only a command that prints JSON imports json.
     assert "dataclasses" not in loaded
     assert ("json" in loaded) == ("json" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--t", "nan"],
+        ["state", "--ie", "--t", "0"],
+        ["measure", "--axis", "h2", "--b", "0", "--c", "0"],
+        ["measure", "--axis", "h4", "--t", "0"],
+        ["sweep", "--axis", "h1", "--points", "1", "--out", os.devnull],
+    ],
+)
+def test_usage_errors_load_no_numpy(argv):
+    code, loaded = _imports(argv)
+    assert code == 2
+    assert {m for m in loaded if m.split(".")[0] == "sqw"} == _BASE
+    assert "numpy" not in loaded
 
 
 def test_only_report_refers_to_the_check_records():

@@ -13,7 +13,7 @@ from sqw.errors import (
     PreconditionViolated,
 )
 from sqw import s3world
-from sqw.linalg import UNIT, herm_eigen
+from sqw.linalg import COEFF_TOL, UNIT, herm_eigen
 from sqw.report import check_s3_relations
 from sqw.s3world import (
     A,
@@ -344,6 +344,21 @@ def test_mean_values_formulas_and_casimir():
         assert mv.a3 == pytest.approx(b + c + 4 * d, abs=1e-12)
         # Casimir expectation vanishes: <H1 + H2 + H3> = A1 + A2 + A3 + 3 = 0
         assert abs(mv.a1 + mv.a2 + mv.a3 + 3.0) <= 1e-12
+
+
+def test_mean_values_r_is_nine_halves_minus_eighteen_q():
+    # R = 9/2 - 18 q, so the window's lower edge puts R above 9/2, by at most 18 COEFF_TOL.
+    for q in (-9.9e-13, -9e-13, -1e-13, 0.0, 1.0 / 24.0, 1.0 / 12.0):
+        rho = math.sqrt(2.0 * (1.0 / 12.0 - q))
+        for phi in np.linspace(0.0, 2 * math.pi, 101).tolist():
+            b, c, d = -1 / 6 + rho * (math.cos(phi) * PLANE_U + math.sin(phi) * PLANE_V)
+            coeffs = S3Coeffs(1.0, float(b), float(c), float(d))
+            r = mean_values(coeffs).r
+            assert r == pytest.approx(4.5 - 18.0 * pair_sum(coeffs), abs=1e-14)
+            assert r <= 4.5 + 18.0 * COEFF_TOL
+    # sqw measure printed criterion_R 4.50000000002 for this state (pair sum -9.0e-13).
+    edge = S3Coeffs(1.0, -3.0230071792203272e-06, -0.49999999998352285, 3.0229907021506186e-06)
+    assert 4.5 < mean_values(edge).r <= 4.5 + 18.0 * COEFF_TOL
 
 
 # ---- concurrence ----
