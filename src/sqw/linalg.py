@@ -31,8 +31,7 @@ UNIT = locked(np.eye(4))
 # The package's only LAPACK entry points: the gufuncs np.linalg.eigh and
 # np.linalg.svd(m, compute_uv=False) call. With the wrappers' complex loops
 # ("D->dD", "D->d") they give the wrappers' bits, without their errstate block.
-# herm_eigen's complex128 argument resolves to "D->dD" without naming it; the
-# oracle's M may be real, so its SVD names "D->d".
+# herm_eigen's and the oracle's complex128 arguments resolve to them unnamed.
 # _vdot is the C function np.vdot dispatches to: its bits, without the dispatch.
 _eigh = _umath_linalg.eigh_lo
 _svd = _umath_linalg.svd

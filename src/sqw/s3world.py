@@ -42,8 +42,9 @@ _PARSED_KINDS = "SUO"
 H1, H2, H3, A, B = (
     locked([[int(p(i) == j) for j in POINTS] for i in POINTS]) for p in S3_GENERATORS.values()
 )
-#: H1 + H2 + H3, which commutes with all five generators.
-CASIMIR = locked([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 3]])
+#: H1 + H2 + H3, the count of swaps taking i to j; it commutes with all five generators.
+CASIMIR = locked([[sum(S3_GENERATORS[h](i) == j for h in ("H1", "H2", "H3")) for j in POINTS]
+                  for i in POINTS])
 
 
 def _in_window(q):
@@ -86,10 +87,6 @@ class MeasurementAxis(Enum):
     H1 = "h1"
     H2 = "h2"
     H3 = "h3"
-
-    @property
-    def matrix(self) -> Mat4:
-        return {"h1": H1, "h2": H2, "h3": H3}[self.value]
 
 
 # p[k] is the column of the one in row k of a swap. Plain lists: numpy kernels

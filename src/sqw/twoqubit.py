@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPSD, PreconditionViolated, TraceNotOne, reject_non_finite
-from .linalg import _SCALE_ABOVE, EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _vdot, herm_eigen
+from .errors import NotPSD, TraceNotOne, _validated_make, reject_non_finite
+from .linalg import EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, herm_eigen
 
 # sigma_y (x) sigma_y, the conjugation used by the spin flip, as a signed row
 # reversal: (sigma_y (x) sigma_y) @ x equals _FLIP_SIGN * x[::-1], up to the
@@ -20,18 +20,51 @@ from .linalg import _SCALE_ABOVE, EIGEN_TOL, TRACE_TOL, Mat4, _as_mat4, _svd, _v
 _FLIP_SIGN = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
-class DensityMatrix(NamedTuple):
-    """A validated two-qubit density matrix. Build via ``validate_density``.
-
-    ``eigenvalues`` (ascending) and ``eigenvectors`` (the matching columns)
-    are the decomposition the positivity check computed; all three arrays
-    are read-only. numpy, and so every function taking a matrix, reads the
-    record as ``m``.
-    """
-
+class _DensityFields(NamedTuple):
     m: Mat4
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+class DensityMatrix(_DensityFields):
+    """A validated two-qubit density matrix; ``DensityMatrix(m)`` is ``validate_density(m)``.
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (the matching columns)
+    are ``herm_eigen(m)``'s; all three arrays are read-only. The constructor
+    takes the matrix alone, and ``_make``, ``_replace``, pickle and ``copy``
+    build through it, so no record holds another decomposition: passing one
+    raises ``TypeError``. numpy, and so every function taking a matrix,
+    reads the record as ``m``.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, m):
+        m = _as_mat4(m)
+        w, v = herm_eigen(m)
+        d0, d1, d2, d3 = m.diagonal().tolist()
+        tr = (d0 + d1) + (d2 + d3)
+        tr_err = abs(tr.real - 1.0) + abs(tr.imag)
+        if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
+            raise TraceNotOne(
+                f"density matrix trace differs from 1 by {tr_err:.3e}", violation=tr_err
+            )
+        if w[0] < -EIGEN_TOL:
+            raise NotPSD(
+                f"density matrix has negative eigenvalue {w[0]:.3e}",
+                violation=float(-w[0]),
+            )
+        out = m.copy()
+        for a in (out, w, v):
+            a.setflags(write=False)
+        return tuple.__new__(cls, (out, w, v))
+
+    def __getnewargs__(self):
+        return (self.m,)
+
+    def _replace(self, **fields):
+        return type(self)(**{"m": self.m, **fields})
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.m, dtype=dtype, copy=copy)
@@ -49,7 +82,7 @@ def validate_density(m) -> DensityMatrix:
     """Check shape, Hermiticity, unit trace and positivity of a 4x4 matrix.
 
     Raises ``NotHermitian``, ``TraceNotOne`` or ``NotPSD`` with the measured
-    violation magnitude; returns the validated wrapper otherwise. The trace
+    violation magnitude; returns ``DensityMatrix(m)`` otherwise. The trace
     is the diagonal sum ``(m00 + m11) + (m22 + m33)``, the pairwise order in
     which ``m.trace()`` adds four entries, so it is the same number. It is
     added as Python complex numbers, so an overflow gives inf or NaN and no
@@ -61,24 +94,7 @@ def validate_density(m) -> DensityMatrix:
     raises ``NotHermitian``, all from ``herm_eigen``, whose docstring gives
     their violations.
     """
-    m = _as_mat4(m)
-    w, v = herm_eigen(m)
-    d0, d1, d2, d3 = m.diagonal().tolist()
-    tr = (d0 + d1) + (d2 + d3)
-    tr_err = abs(tr.real - 1.0) + abs(tr.imag)
-    if tr_err > TRACE_TOL and tr_err > 4 * np.finfo(float).eps * np.abs(m).max():
-        raise TraceNotOne(
-            f"density matrix trace differs from 1 by {tr_err:.3e}", violation=tr_err
-        )
-    if w[0] < -EIGEN_TOL:
-        raise NotPSD(
-            f"density matrix has negative eigenvalue {w[0]:.3e}",
-            violation=float(-w[0]),
-        )
-    out = m.copy()
-    for a in (out, w, v):
-        a.setflags(write=False)
-    return DensityMatrix(out, w, v)
+    return DensityMatrix(m)
 
 
 def _as_density(rho) -> DensityMatrix:
@@ -123,37 +139,21 @@ def concurrence_oracle(rho) -> ConcurrenceReport:
 
     The ``lambda_i`` are taken without forming ``rho rho~`` (Uhlmann,
     PRA 62, 032307, 2000). Factor ``rho = psi psi^dagger`` with
-    ``psi = V diag(sqrt(w))`` from the eigendecomposition ``rho = V diag(w)
-    V^dagger`` that validation already computed. Since ``Sigma`` is real and
-    symmetric, ``rho rho~ = psi (psi^dagger Sigma psi*) psi^T Sigma``, whose
-    eigenvalues are those of ``(psi^dagger Sigma psi*)(psi^T Sigma psi) =
-    M^dagger M`` with ``M = psi^T Sigma psi``. So the ``lambda_i`` are the
+    ``psi = V diag(sqrt(max(w, 0)))`` from the eigendecomposition ``rho = V
+    diag(w) V^dagger`` that validation already computed; an eigenvalue that
+    validation lets down to ``-EIGEN_TOL`` counts as 0. Since ``Sigma`` is
+    real and symmetric, ``rho rho~ = psi (psi^dagger Sigma psi*) psi^T Sigma``,
+    whose eigenvalues are those of ``(psi^dagger Sigma psi*)(psi^T Sigma psi)
+    = M^dagger M`` with ``M = psi^T Sigma psi``. So the ``lambda_i`` are the
     singular values of ``M``: one SVD of a 4x4 matrix, nonnegative and
     descending by construction, with no square root of a rounded eigenvalue.
     ``Sigma psi`` is taken as the signed row reversal ``Sigma`` amounts to.
     A ``DensityMatrix`` costs no eigendecomposition here; a raw matrix pays
     the one inside ``validate_density``. The SVD is the gufunc behind
-    ``np.linalg.svd``, with its bits for a complex ``M``; a real ``M``, from
-    real eigenvectors built by hand, is read as complex. Only a record built
-    by hand can hold a NaN or infinite eigenvalue or eigenvector entry, or
-    make ``M`` overflow its squared norm; each raises
-    ``PreconditionViolated("concurrence must be finite")``, the eigenvalues
-    and the eigenvectors' squared norm checked before they reach ``psi``, so
-    numpy warns of nothing. ``M``'s squared norm is taken only when
-    ``max(w) ||V||_F^2`` exceeds 1e150; below that it cannot overflow.
+    ``np.linalg.svd``, with its bits.
     """
     dm = _as_density(rho)
-    w, v = dm.eigenvalues, dm.eigenvectors
-    wl, vv = w.tolist(), _vdot(v, v).real
-    finite = math.isfinite(sum(wl)) and math.isfinite(vv)
-    if finite:
-        # np.maximum(w, 0.0) is w itself when every eigenvalue is positive.
-        psi = v * np.sqrt(w if min(wl) > 0.0 else np.maximum(w, 0.0))
-        m = psi.T @ (_FLIP_SIGN * psi[::-1])
-        # ||M||_F <= ||psi||_F^2 <= max(w) ||V||_F^2
-        finite = max(wl) * vv <= _SCALE_ABOVE or math.isfinite(_vdot(m, m).real)
-    if not finite:
-        raise PreconditionViolated("concurrence must be finite", violation=1.0)
-    l1, l2, l3, l4 = _svd(m, signature="D->d").tolist()
+    psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
+    l1, l2, l3, l4 = _svd(psi.T @ (_FLIP_SIGN * psi[::-1])).tolist()
     c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
     return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from sqw.s3world import S3Coeffs
-from sqw.xworld import XCoeffs
+from sqw.s3world import S3Coeffs, assemble_s3, t_param
+from sqw.xworld import XCoeffs, assemble_x
 
 #: Orthonormal directions spanning the unit-a normalization plane b + c + d = -1/2.
 PLANE_U = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -52,3 +52,20 @@ def random_x_coeffs(rng: np.random.Generator) -> XCoeffs:
 
     e = float(rng.uniform(-1, 1))
     return XCoeffs(e=e, p=ball(1 + e), s=ball(1 - e))
+
+
+def valid_matrices(rng: np.random.Generator, n: int) -> list:
+    """n swap-family and n X-state matrices, from the two draws above."""
+    return [assemble_s3(random_s3_coeffs(rng)) for _ in range(n)] + [
+        assemble_x(random_x_coeffs(rng)).m for _ in range(n)
+    ]
+
+
+def generic_matrices(rng: np.random.Generator, n: int) -> list:
+    """The pure circle of the swap family (101 states, rank 1), then n Ginibre states."""
+    states = [assemble_s3(t_param(t)) for t in theta_grid(101)]
+    for _ in range(n):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        states.append(m / np.trace(m).real)
+    return states

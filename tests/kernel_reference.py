@@ -1,8 +1,10 @@
 """The per-state kernel, ``gain`` and the group engine before their rewrites, and edge inputs.
 
 ``herm_eigen`` here takes the largest entry modulus on every call,
-``validate_density`` takes the trace with ``m.trace()``, ``concurrence_oracle``
-clamps the eigenvalues and takes the squared norm of ``M`` on every call,
+``validate_density`` takes the trace with ``m.trace()`` and fills its record
+without the ``DensityMatrix`` constructor, ``concurrence_oracle`` checks the
+decomposition and the squared norm of ``M`` for finiteness, which never fails
+on a validated record, and clamps the eigenvalues on every call,
 ``entanglement_of_formation`` clamps its argument and its result,
 ``assemble_x`` divides the whole matrix by 4 after building it, and ``gain``
 runs the coefficient chain ``concurrence_closed(measure_update(t_param(t),
@@ -73,7 +75,8 @@ def validate_density(m):
     out = m.copy()
     for a in (out, w, v):
         a.setflags(write=False)
-    return DensityMatrix(out, w, v)
+    # Outside the constructor, which would put the package's decomposition in place of this one.
+    return tuple.__new__(DensityMatrix, (out, w, v))
 
 
 def entanglement_of_formation(concurrence):
@@ -97,7 +100,7 @@ def concurrence_oracle(dm):
         finite = math.isfinite(np.vdot(m, m).real)
     if not finite:
         raise PreconditionViolated("concurrence must be finite", violation=1.0)
-    # The complex loop, as the package names it, for a real M too.
+    # The complex loop, which the package's complex M resolves to, for a real M too.
     l1, l2, l3, l4 = np.linalg.svd(m.astype(complex), compute_uv=False).tolist()
     c = min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
     return ConcurrenceReport((l1 * l1, l2 * l2, l3 * l3, l4 * l4), c, entanglement_of_formation(c))

@@ -8,9 +8,8 @@ multiplying by the constant matrices. They must give the same numbers as the
 matrix forms kept here, compared with ``==``, under which only the signs of
 zeros may differ. The inputs are seeded draws of valid states plus zeros of
 both signs, subnormals and +-1e155, whose squares are close to overflow.
-``DensityMatrix`` is built directly where an input is not a valid state: the
-oracle reads only the decomposition. ``herm_eigen`` and the oracle's SVD
-must give the bits of ``np.linalg.eigh`` and ``np.linalg.svd``.
+``herm_eigen`` and the oracle's SVD must give the bits of ``np.linalg.eigh``
+and ``np.linalg.svd``.
 """
 
 import itertools
@@ -26,11 +25,11 @@ from sqw.s3world import (
     CASIMIR, H1, H2, H3, MeasurementAxis, assemble_s3, ie_state, mean_values,
     measure_update_matrix, t_param,
 )
-from sqw.twoqubit import _FLIP_SIGN, DensityMatrix, concurrence_oracle
+from sqw.twoqubit import _FLIP_SIGN, concurrence_oracle, validate_density
 from sqw.xworld import E, LAMBDA, TAU, XCoeffs, assemble_x
 
 import kernel_reference
-from draws import random_s3_coeffs, random_x_coeffs, theta_grid
+from draws import generic_matrices, random_s3_coeffs, random_x_coeffs, valid_matrices
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e155, -1e155)
 ORDINARY = (1.0, -0.25, 0.1)
@@ -40,22 +39,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 def _edge_matrices(rng, n, edges=EDGES):
     values = np.array(edges + ORDINARY)
     return [rng.choice(values, (4, 4)) + 1j * rng.choice(values, (4, 4)) for _ in range(n)]
-
-
-def _valid_matrices(rng, n):
-    return [assemble_s3(random_s3_coeffs(rng)) for _ in range(n)] + [
-        assemble_x(random_x_coeffs(rng)).m for _ in range(n)
-    ]
-
-
-def _generic_matrices(rng, n):
-    # Ginibre states, full rank, and the pure circle of the swap family, rank 1.
-    states = [assemble_s3(t_param(t)) for t in theta_grid(101)]
-    for _ in range(n):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g @ g.conj().T
-        states.append(m / np.trace(m).real)
-    return states
 
 
 def test_assemble_s3_places_the_swap_sum():
@@ -94,9 +77,9 @@ def test_assemble_x_places_the_generator_sum(monkeypatch):
 
 def test_measure_update_matrix_is_the_conjugation_channel():
     rng = np.random.default_rng(107)
-    for rho in _valid_matrices(rng, 200) + _edge_matrices(rng, 500):
+    for rho in valid_matrices(rng, 200) + _edge_matrices(rng, 500):
         for axis in MeasurementAxis:
-            h = axis.matrix
+            h = kernel_reference.S3_MATRICES[axis.name]
             assert np.array_equal(measure_update_matrix(rho, axis), (rho + h @ rho @ h) / 2)
 
 
@@ -116,65 +99,47 @@ def test_mean_values_are_the_traces_of_the_swap_products():
 def test_oracle_takes_the_spin_flip_of_psi_by_reversing_rows():
     # M = psi^T (sigma_y (x) sigma_y psi): the oracle's matrix, with the flip as
     # a product, and its singular values from np.linalg.svd, whose bits the
-    # oracle's bare gufunc must keep. Eigenvectors with edge entries and unit
-    # weights make psi = v; +-1e155 would overflow M in either form, so +-1e75
-    # stands in for it.
+    # oracle's bare gufunc must keep.
     rng = np.random.default_rng(113)
     flip = np.kron(SIGMA_Y, SIGMA_Y)
-    edges = EDGES[:-2] + (1e75, -1e75)
-    states = [DensityMatrix(m, np.ones(4), m) for m in _edge_matrices(rng, 500, edges)]
-    for m in _valid_matrices(rng, 200) + _generic_matrices(rng, 200):
-        w, v = np.linalg.eigh(m)
-        states.append(DensityMatrix(m, w, v))
-    for dm in states:
+    for m in valid_matrices(rng, 200) + generic_matrices(rng, 200):
+        dm = validate_density(m)
         psi = dm.eigenvectors * np.sqrt(np.maximum(dm.eigenvalues, 0.0))
         lam = np.linalg.svd(psi.T @ (flip @ psi), compute_uv=False).tolist()
         assert concurrence_oracle(dm).omegas == tuple(x * x for x in lam)
 
 
-def _oracle_bits(f, dm):
+def _oracle_bits(f, m):
     try:
-        r = f(dm)
+        r = f(m)
     except InvalidState as err:
         return type(err), str(err), err.violation
     return tuple(x.hex() for x in r.omegas), r.concurrence.hex(), r.eof.hex()
 
 
+def _reference_oracle(m):
+    return kernel_reference.concurrence_oracle(kernel_reference.validate_density(m))
+
+
 @pytest.mark.filterwarnings("error")
 def test_oracle_gives_the_bits_of_the_reference():
-    # The oracle skips np.maximum for a positive spectrum and the squared norm
-    # of M below max(w) ||V||_F^2 = 1e150; every output bit and error stays.
+    # A raw matrix is validated, then read through its decomposition: every
+    # output bit, or the error and its violation, is the reference's. The
+    # reference oracle's finiteness checks never fire on a validated record.
     rng = np.random.default_rng(131)
-    states = [DensityMatrix(m, np.ones(4), m) for m in _edge_matrices(rng, 300)]
-    for m in _valid_matrices(rng, 200) + _generic_matrices(rng, 200):
-        w, v = np.linalg.eigh(m)
-        states.append(DensityMatrix(m, w, v))
-    v = states[-1].eigenvectors
-    spectra = (
-        [-0.0, 0.25, 0.25, 0.5], [0.0, 0.25, 0.25, 0.5], [-1e-12, 0.3, 0.3, 0.4],
-        [0.4, 0.1, 0.3, 0.2], [0.3, -0.1, 0.4, 0.4], [0.5, -0.0, 0.5, 0.0], [-0.1] * 4,
-        [5e-324] * 4,
-    )
-    states += [DensityMatrix(UNIT, np.array(w), v) for w in spectra]
-    # Real eigenvectors: M is complex all the same, so the SVD keeps its loop.
-    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-    states += [DensityMatrix(UNIT, np.array(w), q) for w in spectra[:3]]
-    # Eigenvectors scaled across the bound and on to the overflow of M.
-    for scale in (1e70, 1e74, 5e74, 1e75, 1e76, 1e77, 3e77, 1e100, 1e150, 1e154):
-        states.append(DensityMatrix(UNIT, np.array([0.1, 0.2, 0.3, 0.4]), scale * v))
     raised = 0
-    for dm in states:
-        bits = _oracle_bits(concurrence_oracle, dm)
-        assert bits == _oracle_bits(kernel_reference.concurrence_oracle, dm)
+    for m in valid_matrices(rng, 200) + generic_matrices(rng, 200) + _edge_matrices(rng, 300):
+        bits = _oracle_bits(concurrence_oracle, m)
+        assert bits == _oracle_bits(_reference_oracle, m)
         raised += isinstance(bits[0], type)
-    assert 0 < raised < len(states)
+    assert raised == 300
 
 
 @pytest.mark.filterwarnings("error")
 def test_herm_eigen_gives_the_bytes_of_np_linalg_eigh():
     # herm_eigen calls the gufunc behind np.linalg.eigh without the wrapper.
     rng = np.random.default_rng(127)
-    states = _valid_matrices(rng, 200) + _generic_matrices(rng, 200)
+    states = valid_matrices(rng, 200) + generic_matrices(rng, 200)
     accepted = 0
     for m in states + [m for _, m in kernel_reference.boundary_matrices()]:
         try:
@@ -190,7 +155,6 @@ def test_herm_eigen_gives_the_bytes_of_np_linalg_eigh():
 def test_literal_constants_equal_their_numpy_expressions():
     # Written as literals so that importing the package runs no numpy kernel.
     pairs = [
-        (CASIMIR, H1 + H2 + H3),
         (E, np.diag([1, -1, -1, 1])),
         (LAMBDA[2], np.diag([1, 0, 0, -1])),
         (TAU[2], np.diag([0, 1, -1, 0])),
@@ -204,6 +168,8 @@ def test_literal_constants_equal_their_numpy_expressions():
 
 def test_generators_built_from_the_group_table_are_locked():
     # Built from permworld's table, not written as literals; test_permworld compares the values.
-    for name in kernel_reference.S3_MATRICES:
+    for name in (*kernel_reference.S3_MATRICES, "CASIMIR"):
         m = getattr(s3world, name)
         assert m.dtype == np.complex128 and m.shape == (4, 4) and not m.flags.writeable, name
+    written = kernel_reference.S3_MATRICES
+    assert (CASIMIR == written["H1"] + written["H2"] + written["H3"]).all()

@@ -1,22 +1,29 @@
 """Value records are NamedTuples or tuple subclasses, immutable and validated.
 
 Every record rejects attribute assignment and survives a pickle round trip.
-The records that validate (``S3Coeffs``, ``XCoeffs``, ``Perm4``) raise from
-``_make`` and ``_replace`` exactly what their constructor raises: NamedTuple's
-own ``_make`` fills the tuple without calling ``__new__``.
+The records that validate (``S3Coeffs``, ``XCoeffs``, ``Perm4``,
+``DensityMatrix``) raise from ``_make`` and ``_replace`` exactly what their
+constructor raises: NamedTuple's own ``_make`` fills the tuple without
+calling ``__new__``. A ``DensityMatrix`` is built from its matrix alone, so
+its decomposition is always ``herm_eigen``'s.
 """
 
+import copy
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from sqw.errors import InvalidState
+import kernel_reference
+from draws import generic_matrices, valid_matrices
+from sqw import twoqubit
+from sqw.errors import InvalidState, NotHermitian, NotPSD
+from sqw.linalg import herm_eigen
 from sqw.permworld import IDENTITY, Perm4, stabilizer
 from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, S3Coeffs, assemble_s3, gain, mean_values
-from sqw.twoqubit import concurrence_oracle, validate_density
+from sqw.twoqubit import DensityMatrix, concurrence_oracle, validate_density
 from sqw.xworld import XCoeffs
 
 ZERO3 = (0.0, 0.0, 0.0)
@@ -127,6 +134,81 @@ def test_valid_replace_and_make_keep_the_type(record):
     cls = type(record)
     assert type(record._replace()) is cls and record._replace() == record
     assert type(cls._make(record)) is cls and cls._make(record) == record
+
+
+def _decomposed(dm, m) -> bool:
+    # A read-only copy of m, with herm_eigen(m)'s bytes as its decomposition.
+    w, v = herm_eigen(m)
+    arrays = (np.asarray(m, dtype=complex), w, v)
+    return type(dm) is DensityMatrix and all(
+        a.tobytes() == b.tobytes() and not a.flags.writeable for a, b in zip(dm, arrays)
+    )
+
+
+def test_density_matrix_builds_every_route_through_the_constructor(monkeypatch):
+    dm = RECORDS["DensityMatrix"]
+    m = np.eye(4, dtype=complex) / 4
+    calls = []
+    monkeypatch.setattr(twoqubit, "herm_eigen", lambda x: calls.append(1) or herm_eigen(x))
+    routes = {
+        "constructor": lambda: DensityMatrix(m), "keyword": lambda: DensityMatrix(m=m),
+        "validate_density": lambda: validate_density(m), "_make": lambda: DensityMatrix._make([m]),
+        "_replace(m=...)": lambda: dm._replace(m=m),
+    }
+    for name, build in routes.items():
+        calls.clear()
+        assert _decomposed(build(), m) and calls == [1], name
+    for name, build in {
+        "_replace()": dm._replace, "pickle": lambda: pickle.loads(pickle.dumps(dm)),
+        "copy": lambda: copy.copy(dm), "deepcopy": lambda: copy.deepcopy(dm),
+    }.items():
+        calls.clear()
+        assert _decomposed(build(), dm.m) and calls == [1], name
+
+
+def test_density_matrix_takes_no_decomposition():
+    dm = RECORDS["DensityMatrix"]
+    w, v = dm.eigenvalues, dm.eigenvectors
+    for build in (
+        lambda: DensityMatrix(dm.m, w, v), lambda: DensityMatrix(dm.m, eigenvalues=w),
+        lambda: DensityMatrix._make(dm), lambda: DensityMatrix._make([dm.m, w[::-1], v]),
+        lambda: dm._replace(eigenvalues=w[::-1]), lambda: dm._replace(eigenvectors=v),
+        lambda: dm._replace(m=dm.m, eigenvalues=w),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    [(np.full((4, 4), math.nan), NotHermitian), (np.diag([0.5, 0.5, 0.5, -0.5]), NotPSD)],
+    ids=["nan", "not-psd"],
+)
+def test_density_matrix_routes_raise_what_validation_raises(m, error):
+    dm = RECORDS["DensityMatrix"]
+    expected = _raised(lambda: validate_density(m))
+    assert expected[0] is error
+    for build in (lambda: DensityMatrix(m), lambda: DensityMatrix._make([m]),
+                  lambda: dm._replace(m=m)):
+        assert _raised(build) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_validated_record_gives_the_oracle_finite_reference_bits():
+    # A validated record holds finite eigenpairs of a unit-trace PSD matrix, so
+    # the reference oracle's finiteness checks, which the package's oracle
+    # does not make, never fire; its clamp of eigenvalues down to -EIGEN_TOL
+    # still bites on the records with a nonpositive eigenvalue.
+    rng = np.random.default_rng(137)
+    records = [validate_density(m) for m in valid_matrices(rng, 500) + generic_matrices(rng, 500)]
+    for dm in records:
+        r = concurrence_oracle(dm)
+        assert all(map(math.isfinite, r.omegas))
+        expected = kernel_reference.concurrence_oracle(dm)
+        assert [x.hex() for x in (*r.omegas, r.concurrence, r.eof)] == [
+            x.hex() for x in (*expected.omegas, expected.concurrence, expected.eof)
+        ]
+    assert any(dm.eigenvalues[0] <= 0.0 for dm in records)
 
 
 def test_perm4_keeps_its_sort_order_and_operations():

@@ -376,30 +376,26 @@ def test_closed_form_matches_pure_parameter_formula():
         assert abs(concurrence_closed(t_param(t)) - pure_concurrence(t)) <= 1e-10
 
 
-def test_oracle_equals_min_rule_on_mixed_states():
-    # The numerical pipeline realizes 2*min(|d|, sqrt((1/2+b)(1/2+c))),
-    # which meets the coefficient closed form only where |d| dominates;
-    # on the pure circle the two coincide.
-    rng = np.random.default_rng(79)
-    for _ in range(1000):
-        coeffs = random_s3_coeffs(rng)
-        oracle = concurrence_oracle(assemble_s3(coeffs)).concurrence
-        root = math.sqrt(max((0.5 + coeffs.b) * (0.5 + coeffs.c), 0.0))
-        assert abs(oracle - 2 * min(abs(coeffs.d), root)) <= 1e-9
-
-
 def test_the_two_concurrences_differ_by_the_pair_sum():
     # On the unit-a slice (1/2 + b)(1/2 + c) = d^2 + q, q = bc + bd + cd, and
-    # q >= 0 on the valid set: the verified form is 2|d| and the paper's
-    # form is 2 sqrt(d^2 + q).
+    # the window admits q >= -COEFF_TOL: the verified form is 2|d| and the
+    # paper's form is 2 sqrt(d^2 + q).
     rng = np.random.default_rng(89)
+    # sqw measure prints this pure state (pair sum -9.0e-13) with the paper's
+    # form below the oracle, by up to 2 sqrt(COEFF_TOL) at the window's edge.
+    edge = S3Coeffs(1.0, -3.0230071792203272e-06, -0.49999999998352285, 3.0229907021506186e-06)
     states = [random_s3_coeffs(rng) for _ in range(4000)]
-    states += [t_param(t) for t in t_grid(2001).tolist()] + [ie_state()]
+    states += [t_param(t) for t in t_grid(2001).tolist()] + [ie_state(), edge]
     for coeffs in states:
         verified = swap_concurrence(coeffs)
         assert abs(verified - 2 * abs(coeffs.d)) <= 1e-13
         excess = concurrence_closed(coeffs) ** 2 - verified ** 2 - 4 * pair_sum(coeffs)
         assert abs(excess) <= 1e-15
+    assert is_pure(edge)
+    oracle = concurrence_oracle(assemble_s3(edge)).concurrence
+    assert concurrence_closed(edge) == pytest.approx(5.74056675848e-06, rel=1e-11)
+    assert oracle == pytest.approx(6.04597960434e-06, rel=1e-11)
+    assert 0.0 < oracle - concurrence_closed(edge) <= 2 * math.sqrt(COEFF_TOL)
 
 
 @pytest.mark.parametrize("q", [-9e-13, -5e-13, -1e-13, 0.0])
