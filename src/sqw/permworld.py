@@ -4,8 +4,9 @@ Exhaustive subgroup enumeration, point stabilizers and the permutation
 matrix representation whose point-4 stabilizer realizes exactly the swap
 and cycle observables of the restricted two-qubit family. ``S3_GENERATORS``
 is the one written table of those observables; ``s3world`` builds its
-matrices from it. Only ``perm_matrix`` uses numpy, and imports it when
-called, so ``sqw check s4`` runs without numpy.
+matrices from it. The engine computes on element indices and int bitsets
+of them. Only ``perm_matrix`` uses numpy, and imports it when called, so
+``sqw check s4`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import _validated_make
+from .errors import PreconditionViolated, _validated_make
 
 if TYPE_CHECKING:
     from .linalg import Mat4
@@ -35,7 +36,8 @@ class Perm4(_Images):
     NamedTuple of one field, so permutations sort by their images; the
     constructor, and ``_make`` and ``_replace`` through it, store the images
     as a tuple of ints, raise ``TypeError`` for an image that is not an
-    integer and ``ValueError`` for images that are not a permutation.
+    integer and ``PreconditionViolated`` for images that are not a
+    permutation, its violation the places where sorted images and 1..4 differ.
     """
 
     __slots__ = ()
@@ -44,7 +46,8 @@ class Perm4(_Images):
     def __new__(cls, images: tuple[int, int, int, int]):
         images = tuple(map(operator.index, images))
         if sorted(images) != list(POINTS):
-            raise ValueError(f"not a permutation of 1..4: {images}")
+            bad = sum(a != b for a, b in itertools.zip_longest(sorted(images), POINTS))
+            raise PreconditionViolated(f"not a permutation of 1..4: {images}", float(bad))
         return tuple.__new__(cls, (images,))
 
     def __call__(self, point: int) -> int:
@@ -56,7 +59,7 @@ class Perm4(_Images):
         return Perm4(tuple(other.images[i - 1] for i in self.images))
 
     def order(self) -> int:
-        return len(generate((self,)))
+        return _closure((_table()[1][self],)).bit_count()
 
 
 IDENTITY = Perm4((1, 2, 3, 4))
@@ -91,49 +94,68 @@ def _table() -> tuple[tuple[Perm4, ...], dict[Perm4, int], tuple[tuple[int, ...]
     # The 24 elements in canonical order, the index of each, and the
     # multiplication table on indices: product[i][j] indexes elements[i] *
     # elements[j]. Index order is element order, and IDENTITY has index 0.
+    images = tuple(itertools.permutations(POINTS))
+    at = {t: i for i, t in enumerate(images)}.__getitem__
+    compose = (operator.itemgetter(*(i - 1 for i in p)) for p in images)  # q -> p * q
+    product = tuple(tuple(map(at, map(f, images))) for f in compose)
     elements = all_elements()
-    index = {p: i for i, p in enumerate(elements)}
-    product = tuple(tuple(index[p * q] for q in elements) for p in elements)
-    return elements, index, product
+    return elements, {p: i for i, p in enumerate(elements)}, product
+
+
+def _closure(gens) -> int:
+    # The subgroup generated by the element indices gens, as a bitset of indices.
+    product = _table()[2]
+    found, queue = 1, [0]
+    for x in queue:  # the queue grows while it is read: every element found is multiplied
+        row = product[x]
+        for g in gens:
+            y = row[g]
+            if not found >> y & 1:
+                found |= 1 << y
+                queue.append(y)
+    return found
+
+
+def _subgroup(bits: int) -> Subgroup:
+    return Subgroup(p for i, p in enumerate(_table()[0]) if bits >> i & 1)
 
 
 def generate(generators) -> Subgroup:
     """Closure of ``Perm4`` generators under composition; other items raise ``TypeError``."""
-    elements, index, product = _table()
+    index = _table()[1]
     gens = []
     for g in generators:
         if not isinstance(g, Perm4):
             raise TypeError(f"generators must be Perm4, got {g!r}")
         gens.append(index[g])
-    found, queue = {0}, [0]
-    for x in queue:  # the queue grows while it is read: every element found is multiplied
-        for g in gens:
-            y = product[x][g]
-            if y not in found:
-                found.add(y)
-                queue.append(y)
-    return Subgroup(tuple(elements[i] for i in sorted(found)))
+    return _subgroup(_closure(gens))
 
 
 @lru_cache(maxsize=1)
 def enumerate_subgroups() -> tuple[Subgroup, ...]:
-    """All subgroups, by closing every generator set of size at most two.
+    """All subgroups: the cyclic subgroups and the joins of two of them.
 
     Every subgroup of the group is generated by at most two elements, so
     the sweep is exhaustive; the expected count (30) is asserted by tests.
     Deterministic order: by subgroup order, then element tuple.
     """
-    elements = all_elements()
-    found = {generate(s) for k in (0, 1, 2) for s in itertools.combinations(elements, k)}
-    return tuple(sorted(found, key=lambda s: (s.order, s)))
+    cyclic = [_closure((g,)) for g in range(24)]
+    joins = dict(zip(cyclic, cyclic))  # a union of two cyclic subgroups -> their join
+    for g, h in itertools.combinations(range(24), 2):
+        union = cyclic[g] | cyclic[h]
+        if union not in joins:
+            joins[union] = _closure((g, h))
+    return tuple(sorted(map(_subgroup, set(joins.values())), key=lambda s: (s.order, s)))
 
 
 def stabilizer(point: int) -> Subgroup:
-    """The six permutations fixing one point; a non-integer raises ``TypeError``."""
+    """The six permutations fixing one point; a non-integer raises ``TypeError``, and a
+    point outside 1..4 ``PreconditionViolated``, its distance from 1..4 the violation."""
     point = operator.index(point)
     if point not in POINTS:
-        raise ValueError(f"point must be in 1..4, got {point}")
-    return Subgroup(tuple(p for p in all_elements() if p(point) == point))
+        off = float(max(1 - point, point - 4))
+        raise PreconditionViolated(f"point must be in 1..4, got {point}", off)
+    return Subgroup(p for p in _table()[0] if p(point) == point)
 
 
 def perm_matrix(p: Perm4) -> Mat4:
@@ -146,16 +168,13 @@ def perm_matrix(p: Perm4) -> Mat4:
 def classify(subgroup: Subgroup) -> str:
     """Isomorphism label from the order and the element orders.
 
-    Order 4 splits into cyclic C4 versus the Klein group V4; order 6 is S3
-    whenever no element of order 6 exists (always the case here). Larger
-    orders are unambiguous inside this group: D4, A4 and the full group.
+    Order 4 splits into cyclic C4 versus the Klein group V4. Larger orders
+    are unambiguous inside this group: S3 (no element has order 6), D4, A4
+    and the full group.
     """
     n = subgroup.order
     if n in (1, 2, 3):
         return f"C{n}"
-    orders = {p.order() for p in subgroup}
     if n == 4:
-        return "C4" if 4 in orders else "V4"
-    if n == 6:
-        return "C6" if 6 in orders else "S3"
-    return {8: "D4", 12: "A4", 24: "S4"}[n]
+        return "C4" if any(p.order() == 4 for p in subgroup) else "V4"
+    return {6: "S3", 8: "D4", 12: "A4", 24: "S4"}[n]

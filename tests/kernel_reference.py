@@ -8,15 +8,18 @@ on a validated record, and clamps the eigenvalues on every call,
 ``entanglement_of_formation`` clamps its argument and its result,
 ``assemble_x`` divides the whole matrix by 4 after building it, and ``gain``
 runs the coefficient chain ``concurrence_closed(measure_update(t_param(t),
-axis))``. ``generate`` closes its generators frontier by frontier, ``order``
-multiplies an element until it reaches the identity, and ``perm_matrix``
-writes its four ones into a zero matrix. ``S3_MATRICES`` are the S3
+axis))``. ``generate`` closes its generators frontier by frontier and
+``enumerate_subgroups`` closes all 301 generator sets of size at most two,
+``order`` multiplies an element until it reaches the identity, ``classify``
+labels from those orders with an arm for a cyclic group of order 6,
+``stabilizer`` filters ``all_elements()``, and ``perm_matrix`` writes its
+four ones into a zero matrix. ``S3_MATRICES`` are the S3
 generators as 0/1 literals, the written reference for the matrices that
 ``s3world`` builds from ``permworld.S3_GENERATORS``. The boundary tables in
 ``test_linalg``, ``test_twoqubit``, ``test_xworld`` and ``test_s3world``
 require the package to give the same bytes, or the same error with the same
 violation, on every input below; ``test_permworld`` requires the same
-subgroups, orders and matrices.
+subgroups, orders, labels, stabilizers and matrices.
 """
 
 import itertools
@@ -165,6 +168,22 @@ def order(p):
         q = q * p
         k += 1
     return k
+
+
+def classify(subgroup):
+    n = len(subgroup)
+    if n in (1, 2, 3):
+        return f"C{n}"
+    orders = {order(p) for p in subgroup}
+    if n == 4:
+        return "C4" if 4 in orders else "V4"
+    if n == 6:
+        return "C6" if 6 in orders else "S3"
+    return {8: "D4", 12: "A4", 24: "S4"}[n]
+
+
+def stabilizer(point):
+    return Subgroup(tuple(p for p in all_elements() if p(point) == point))
 
 
 def perm_matrix(p):

@@ -7,10 +7,13 @@ import pytest
 
 import kernel_reference
 from sqw import linalg, s3world
+from sqw.errors import PreconditionViolated
 from sqw.permworld import (
     IDENTITY,
     S3_GENERATORS,
     Perm4,
+    Subgroup,
+    _table,
     all_elements,
     classify,
     enumerate_subgroups,
@@ -28,8 +31,12 @@ def test_identity_and_inverse():
 
 
 def test_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Perm4((1, 1, 3, 4))
+    # The violation counts the places where the sorted images differ from 1..4.
+    cases = [((1, 1, 3, 4), 1), ((1, 2, 3, 5), 1), ((1, 2, 3), 1), ((2, 2, 2, 2), 3), ((), 4)]
+    for images, places in cases:
+        with pytest.raises(PreconditionViolated, match=r"^not a permutation of 1\.\.4: ") as info:
+            Perm4(images)
+        assert isinstance(info.value, ValueError) and info.value.violation == places
 
 
 def test_composition_is_left_to_right():
@@ -82,16 +89,45 @@ def _perm_closure(generators):
     return tuple(sorted(elements))
 
 
-def test_generate_matches_perm4_closure():
-    # Against Perm4 products, and against the frontier closure and enumeration it replaced.
+def _generator_sets():
+    """Every generator set of size at most two: 1 + 24 + 276 of them."""
     elements = all_elements()
-    sets = [()] + [(g,) for g in elements] + list(itertools.combinations(elements, 2))
+    return [()] + [(g,) for g in elements] + list(itertools.combinations(elements, 2))
+
+
+def test_generate_matches_perm4_closure():
+    # Against Perm4 products, and against the frontier closure it replaced.
+    sets = _generator_sets()
     assert len(sets) == 301
     for gens in sets:
         assert tuple(generate(gens)) == _perm_closure(gens)
         assert generate(gens) == kernel_reference.generate(gens)
+
+
+def test_table_agrees_with_perm4_products():
+    # The table composes image tuples and Perm4.__mul__ composes points: two routes.
+    elements, index, product = _table()
+    assert elements == all_elements() and elements[0] == IDENTITY
+    assert index == {p: i for i, p in enumerate(elements)}
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            assert elements[product[i][j]] == p * q
+    assert all(sorted(row) == list(range(24)) for row in product)
+    assert all(sorted(column) == list(range(24)) for column in zip(*product))
+
+
+def test_cold_enumeration_matches_both_references():
+    # From an empty table: the frontier enumeration, and all 301 closures by Perm4 products.
+    _table.cache_clear()
     enumerate_subgroups.cache_clear()
-    assert enumerate_subgroups() == kernel_reference.enumerate_subgroups()
+    subgroups = enumerate_subgroups()
+    assert subgroups == kernel_reference.enumerate_subgroups()
+    closures = {_perm_closure(gens) for gens in _generator_sets()}
+    assert list(subgroups) == sorted(closures, key=lambda s: (len(s), s))
+    assert all(type(s) is Subgroup for s in subgroups)
+    # No element of S4 has order 6, so the reference's C6 arm never decides a label.
+    labels = [kernel_reference.classify(s) for s in subgroups]
+    assert [classify(s) for s in subgroups] == labels and "C6" not in labels
 
 
 def test_order_equals_the_power_loop():
@@ -120,9 +156,13 @@ def test_stabilizers():
         assert stab.order == 6
         assert all(p(point) == point for p in stab)
         assert classify(stab) == "S3"
+        assert type(stab) is Subgroup and stab == kernel_reference.stabilizer(point)
     assert stabilizer(4) in enumerate_subgroups()
-    with pytest.raises(ValueError):
-        stabilizer(5)
+    # The violation is the distance from the point to 1..4.
+    for point, distance in [(5, 1), (0, 1), (-3, 4), (9, 5)]:
+        with pytest.raises(PreconditionViolated, match=r"^point must be in 1\.\.4, got ") as info:
+            stabilizer(point)
+        assert isinstance(info.value, ValueError) and info.value.violation == distance
 
 
 def test_stabilizer_and_generate_read_integer_input():

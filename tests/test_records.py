@@ -111,6 +111,7 @@ INVALID_REPLACEMENTS = [
     (XCoeffs(0.0, ZERO3, ZERO3), {"e": math.nan, "s": (math.inf, 0.0, 0.0)}),
     (Perm4((1, 2, 3, 4)), {"images": (1, 1, 3, 4)}),
     (Perm4((1, 2, 3, 4)), {"images": (1, 2, 3, 5)}),
+    (Perm4((1, 2, 3, 4)), {"images": (1, 2, 3)}),
     # A complex value raises TypeError, even where the imaginary parts cancel.
     (S3Coeffs(1.0, -0.5, 0.0, 0.0), {"b": -0.25 + 0.1j, "c": -0.25 - 0.1j}),
     (S3Coeffs(1.0, -0.5, 0.0, 0.0), {"d": 0j}),
