@@ -201,42 +201,29 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-#: Most grid points ``sweep`` takes; the grid's four columns are held in memory.
+#: Most grid points ``sweep`` takes; the grid is the one array of that size it holds.
 _MAX_POINTS = 10**6
-#: Grid points ``sweep`` formats at once; no format holds a record per point.
-_SLICE = 65_536
+#: Grid points ``sweep`` computes and formats at once; no format holds a record per point.
+_SLICE = 4096
 
 
-def _sweep_payload(axis: MeasurementAxis, points: int) -> dict:
-    """The columns t, c_before, c_after and delta_c over ``t_grid(points)``, and the maximum."""
-    from .s3world import gain_curve, maximize_gain, t_grid
+def _sweep_rows(axis: MeasurementAxis, ts):
+    """The rows (t, c_before, c_after, delta_c) over ``ts``, ``_SLICE`` points at a time."""
+    from .s3world import gain_curve
 
-    ts = t_grid(points)
-    c_before, c_after = gain_curve(axis, ts)
-    best = maximize_gain(axis)
-    return {
-        "axis": axis.value,
-        "columns": (ts, c_before, c_after, c_after - c_before),
-        "max": dict(t=best.t_star, c_before=best.c_before, c_after=best.c_after,
-                    delta_c=best.delta_c),
-    }
+    for start in range(0, len(ts), _SLICE):
+        t = ts[start:start + _SLICE]
+        c_before, c_after = gain_curve(axis, t)
+        yield zip(*(c.tolist() for c in (t, c_before, c_after, c_after - c_before)))
 
 
-def _sweep_rows(payload: dict):
-    """The rows (t, c_before, c_after, delta_c) as floats, ``_SLICE`` points at a time."""
-    columns = payload["columns"]
-    for start in range(0, len(columns[0]), _SLICE):
-        yield zip(*(c[start:start + _SLICE].tolist() for c in columns))
-
-
-def _sweep_json(payload: dict):
+def _sweep_json(axis: str, slices, best: dict):
     """``_json_text`` of ``{axis, records, max}``, one record a point, a slice at a time."""
-    # The payload's JSON with one placeholder record, split around it.
-    frame = {"axis": payload["axis"], "records": ["*"], "max": payload["max"]}
-    head, tail = _json_text(frame).split('"*"')
+    # The JSON with one placeholder record, split around it.
+    head, tail = _json_text({"axis": axis, "records": ["*"], "max": best}).split('"*"')
     yield head
     sep = ""
-    for rows in _sweep_rows(payload):
+    for rows in slices:
         # A dict literal a row: dict(zip(...)) takes about three times as long.
         records = [{"t": t, "c_before": b, "c_after": a, "delta_c": d} for t, b, a, d in rows]
         yield sep + _json_text(records)[1:-1]
@@ -244,13 +231,13 @@ def _sweep_json(payload: dict):
     yield tail + "\n"
 
 
-def _sweep_csv(payload: dict):
+def _sweep_csv(slices, best: dict):
     """The ``max`` keys as header, one row a point, then the ``# max`` line, a slice at a time."""
-    yield ",".join(payload["max"]) + "\n"
-    for rows in _sweep_rows(payload):
+    yield ",".join(best) + "\n"
+    for rows in slices:
         # One f-string a row: a per-value join takes about a third longer.
         yield "".join([f"{t:.12g},{b:.12g},{a:.12g},{d:.12g}\n" for t, b, a, d in rows])
-    yield f"# max {_text(payload['max'])}\n"
+    yield f"# max {_text(best)}\n"
 
 
 def _cmd_sweep(args) -> int:
@@ -258,10 +245,14 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("--points must be at least 2")
     if args.points > _MAX_POINTS:
         raise _UsageError(f"--points must be at most {_MAX_POINTS}")
-    from .s3world import MeasurementAxis
+    from .s3world import MeasurementAxis, maximize_gain, t_grid
 
-    payload = _sweep_payload(MeasurementAxis(args.axis), args.points)
-    text = _sweep_json(payload) if args.format == "json" else _sweep_csv(payload)
+    axis = MeasurementAxis(args.axis)
+    slices = _sweep_rows(axis, t_grid(args.points))
+    top = maximize_gain(axis)
+    best = dict(t=top.t_star, c_before=top.c_before, c_after=top.c_after, delta_c=top.delta_c)
+    text = (_sweep_json(axis.value, slices, best) if args.format == "json"
+            else _sweep_csv(slices, best))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(text)

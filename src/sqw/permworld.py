@@ -4,9 +4,9 @@ Exhaustive subgroup enumeration, point stabilizers and the permutation
 matrix representation whose point-4 stabilizer realizes exactly the swap
 and cycle observables of the restricted two-qubit family. ``S3_GENERATORS``
 is the one written table of those observables; ``s3world`` builds its
-matrices from it. The engine computes on element indices and int bitsets
-of them. Only ``perm_matrix`` uses numpy, and imports it when called, so
-``sqw check s4`` runs without numpy.
+matrices from it, and ``report`` names their products by it. The engine
+computes on element indices and int bitsets of them. Only ``perm_matrix``
+uses numpy, and imports it when called, so ``sqw check s4`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ S3_GENERATORS = {
 }
 
 
-def all_elements() -> tuple[Perm4, ...]:
-    """All 24 permutations in canonical (lexicographic) order."""
-    return tuple(Perm4(images) for images in itertools.permutations(POINTS))
-
-
 class Subgroup(tuple):
     """A subgroup as its sorted element tuple (canonical identity)."""
 
@@ -91,14 +86,14 @@ class Subgroup(tuple):
 
 @lru_cache(maxsize=1)
 def _table() -> tuple[tuple[Perm4, ...], dict[Perm4, int], tuple[tuple[int, ...], ...]]:
-    # The 24 elements in canonical order, the index of each, and the
+    # The 24 elements in lexicographic order, the index of each, and the
     # multiplication table on indices: product[i][j] indexes elements[i] *
     # elements[j]. Index order is element order, and IDENTITY has index 0.
     images = tuple(itertools.permutations(POINTS))
     at = {t: i for i, t in enumerate(images)}.__getitem__
     compose = (operator.itemgetter(*(i - 1 for i in p)) for p in images)  # q -> p * q
     product = tuple(tuple(map(at, map(f, images))) for f in compose)
-    elements = all_elements()
+    elements = tuple(map(Perm4, images))
     return elements, {p: i for i, p in enumerate(elements)}, product
 
 

@@ -1,12 +1,12 @@
 """Pass/fail reports, and every suite of exact facts that ``sqw check`` runs.
 
-The suites check the X product table, the S3 product table and the S4
-subgroup facts; ``SUITES`` maps each ``sqw check`` world to its suite, and
-no other suite is defined here. Each suite imports what it uses (numpy,
-``linalg``, ``xworld``, ``s3world``, ``permworld``) in its body, so each
-command loads only the modules it runs: the S4 suite compares permutations,
-and ``sqw check s4`` runs without numpy. The formula modules do not import
-this one.
+The suites check the X product table, the S3 product table, whose
+products the group engine names, and the S4 subgroup facts; ``SUITES``
+maps each ``sqw check`` world to its suite, and no other suite is defined
+here. Each suite imports what it uses (numpy, ``linalg``, ``xworld``,
+``s3world``, ``permworld``) in its body, so each command loads only the
+modules it runs: the S4 suite compares permutations, and ``sqw check s4``
+runs without numpy. The formula modules do not import this one.
 """
 
 from __future__ import annotations
@@ -78,33 +78,29 @@ def check_x_relations() -> Report:
     return Report(tuple(exact(*case) for case in cases))
 
 
-#: The 25 products x*y = z of the S3 generator table, with "1" the identity.
-_PRODUCTS = (
-    ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
-    ("H1", "H2", "A"), ("H2", "H3", "A"), ("H3", "H1", "A"),
-    ("H1", "H3", "B"), ("H2", "H1", "B"), ("H3", "H2", "B"),
-    ("H1", "A", "H2"), ("H2", "A", "H3"), ("H3", "A", "H1"),
-    ("A", "H1", "H3"), ("A", "H2", "H1"), ("A", "H3", "H2"),
-    ("H1", "B", "H3"), ("H2", "B", "H1"), ("H3", "B", "H2"),
-    ("B", "H1", "H2"), ("B", "H2", "H3"), ("B", "H3", "H1"),
-    ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
-)
+#: The 25 products x*y of the S3 generators that the suite checks, in its order.
+_PAIRS = tuple(pair.split("*") for pair in (
+    "H1*H1 H2*H2 H3*H3 H1*H2 H2*H3 H3*H1 H1*H3 H2*H1 H3*H2 H1*A H2*A H3*A A*H1 A*H2 A*H3 "
+    "H1*B H2*B H3*B B*H1 B*H2 B*H3 A*A B*B A*B B*A"
+).split())
 
 
 def check_s3_relations() -> Report:
-    """Verify the full S3 generator product table with exact equality."""
+    """Verify the full S3 generator product table, each product as ``permworld`` composes it."""
     import numpy as np
 
     from .linalg import UNIT
+    from .permworld import IDENTITY, S3_GENERATORS
     from .s3world import CASIMIR, A, B, H1, H2, H3
 
     generators = {"H1": H1, "H2": H2, "H3": H3, "A": A, "B": B}
     symbols = {"1": UNIT, **generators}
+    names = {p: name for name, p in [("1", IDENTITY), *S3_GENERATORS.items()]}
     zero = np.zeros((4, 4), complex)
-    checks = [
-        exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z])
-        for x, y, z in _PRODUCTS
-    ]
+    checks = []
+    for x, y in _PAIRS:
+        z = names[S3_GENERATORS[x] * S3_GENERATORS[y]]
+        checks.append(exact(f"{x}*{y} = {z}", symbols[x] @ symbols[y], symbols[z]))
     checks.append(exact("A = adjoint(B)", A, B.conj().T))
     checks.append(exact("A + B = C - 1", A + B, CASIMIR - UNIT))
     for name, g in generators.items():

@@ -12,14 +12,17 @@ axis))``. ``generate`` closes its generators frontier by frontier and
 ``enumerate_subgroups`` closes all 301 generator sets of size at most two,
 ``order`` multiplies an element until it reaches the identity, ``classify``
 labels from those orders with an arm for a cyclic group of order 6,
-``stabilizer`` filters ``all_elements()``, and ``perm_matrix`` writes its
-four ones into a zero matrix. ``S3_MATRICES`` are the S3
-generators as 0/1 literals, the written reference for the matrices that
-``s3world`` builds from ``permworld.S3_GENERATORS``. The boundary tables in
-``test_linalg``, ``test_twoqubit``, ``test_xworld`` and ``test_s3world``
-require the package to give the same bytes, or the same error with the same
-violation, on every input below; ``test_permworld`` requires the same
-subgroups, orders, labels, stabilizers and matrices.
+``all_elements`` builds the 24 permutations in lexicographic order,
+``stabilizer`` filters them, and ``perm_matrix`` writes its four ones into
+a zero matrix. ``S3_MATRICES`` are the S3 generators as 0/1 literals, the
+written reference for the matrices that ``s3world`` builds from
+``permworld.S3_GENERATORS``, and ``S3_PRODUCTS`` is the S3 product table
+written by hand, the reference for the products ``report`` names by them.
+The boundary tables in ``test_linalg``, ``test_twoqubit``, ``test_xworld``
+and ``test_s3world`` require the package to give the same bytes, or the
+same error with the same violation, on every input below;
+``test_permworld`` requires the same subgroups, orders, labels, stabilizers
+and matrices.
 """
 
 import itertools
@@ -29,7 +32,7 @@ import numpy as np
 
 from sqw.errors import NotHermitian, NotPSD, PreconditionViolated, TraceNotOne
 from sqw.linalg import _SCALE_ABOVE, COEFF_TOL, EIGEN_TOL, HERMITIAN_TOL, TRACE_TOL, _as_mat4
-from sqw.permworld import IDENTITY, POINTS, Subgroup, _table, all_elements
+from sqw.permworld import IDENTITY, POINTS, Perm4, Subgroup, _table
 from sqw.s3world import (
     GainResult, concurrence_closed, measure_update, pure_concurrence, t_param,
 )
@@ -134,6 +137,10 @@ def gain(axis, t):
     )
 
 
+def all_elements():
+    return tuple(Perm4(images) for images in itertools.permutations(POINTS))
+
+
 def generate(generators):
     elements, index, product = _table()
     gens = tuple(index[g] for g in generators)
@@ -200,6 +207,19 @@ S3_MATRICES = {
     "A": np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex),
     "B": np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
 }
+
+#: The 25 products x*y = z of the S3 generator table, with "1" the identity,
+#: in the order ``check_s3_relations`` checks them.
+S3_PRODUCTS = (
+    ("H1", "H1", "1"), ("H2", "H2", "1"), ("H3", "H3", "1"),
+    ("H1", "H2", "A"), ("H2", "H3", "A"), ("H3", "H1", "A"),
+    ("H1", "H3", "B"), ("H2", "H1", "B"), ("H3", "H2", "B"),
+    ("H1", "A", "H2"), ("H2", "A", "H3"), ("H3", "A", "H1"),
+    ("A", "H1", "H3"), ("A", "H2", "H1"), ("A", "H3", "H2"),
+    ("H1", "B", "H3"), ("H2", "B", "H1"), ("H3", "B", "H2"),
+    ("B", "H1", "H2"), ("B", "H2", "H3"), ("B", "H3", "H1"),
+    ("A", "A", "B"), ("B", "B", "A"), ("A", "B", "1"), ("B", "A", "1"),
+)
 
 
 def gain_outcome(f, axis, t):

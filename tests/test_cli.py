@@ -4,13 +4,13 @@ import json
 import math
 import os
 import pathlib
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqw import cli, report
+from sqw import cli, report, s3world
 from sqw.cli import main
 from sqw.report import CheckResult, Report
 from sqw.s3world import MeasurementAxis, gain, gain_curve, maximize_gain, t_grid
@@ -349,11 +349,13 @@ def test_sweep_bad_points_exits_two(capsys, tmp_path):
 
 
 def test_sweep_points_above_the_bound_exit_two_before_any_grid(capsys, monkeypatch, tmp_path):
-    # The payload builder stands in for the real one: at the bound it is
-    # called with the bound and builds two points; above it, never.
+    # The grid builder stands in for the real one: at the bound it is called
+    # with the bound and builds two points; above it, never. The warm memo
+    # keeps maximize_gain's own grid out of the count.
+    maximize_gain(MeasurementAxis.H1)
     calls = []
-    real = cli._sweep_payload
-    monkeypatch.setattr(cli, "_sweep_payload", lambda axis, n: calls.append(n) or real(axis, 2))
+    real = s3world.t_grid
+    monkeypatch.setattr(s3world, "t_grid", lambda n: calls.append(n) or real(2))
     out = tmp_path / "x.csv"
     for points in (cli._MAX_POINTS + 1, 10**15):
         code, _, err = run(capsys, "sweep", "--axis", "h1", "--points", str(points),
@@ -363,6 +365,22 @@ def test_sweep_points_above_the_bound_exit_two_before_any_grid(capsys, monkeypat
     code, _, _ = run(capsys, "sweep", "--axis", "h1", "--points", str(cli._MAX_POINTS),
                      "--out", str(out))
     assert code == 0 and calls == [10**6] and out.exists()
+
+
+def test_sweep_holds_no_grid_sized_array_but_the_grid(capsys, tmp_path):
+    # The grid is 8 bytes a point and t_grid's list of angles about 32 more
+    # while it builds; four more columns over the whole grid would pass 64.
+    points = 200_000
+    maximize_gain(MeasurementAxis.H2)
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "sweep", "--axis", "h2", "--points", str(points),
+                         "--out", str(tmp_path / "big.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * points
 
 
 def test_sweep_unwritable_path_exits_two(capsys, tmp_path):
@@ -480,9 +498,9 @@ def test_text_golden_renders_the_json_golden(stem):
 def test_csv_golden_renders_the_json_golden(axis, points):
     stem = f"sweep_{axis}_{points}"
     payload = _golden_payload(f"{stem}.json")
-    records = payload.pop("records")
-    payload["columns"] = tuple(np.array([r[key] for r in records]) for key in payload["max"])
-    csv = "".join(cli._sweep_csv(payload))
+    best = payload["max"]
+    rows = [[tuple(r[key] for key in best) for r in payload["records"]]]
+    csv = "".join(cli._sweep_csv(rows, best))
     assert csv == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
 
 

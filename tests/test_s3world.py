@@ -85,6 +85,12 @@ def test_relation_suite_names_in_order():
     assert tuple(c.name for c in check_s3_relations()) == S3_CHECK_NAMES
 
 
+def test_relation_suite_products_are_the_written_table():
+    # The suite names each product z by composing permutations; the table is written by hand.
+    names = [f"{x}*{y} = {z}" for x, y, z in kernel_reference.S3_PRODUCTS]
+    assert [c.name for c in check_s3_relations()][:25] == names
+
+
 def test_selected_relations_exact():
     assert np.array_equal(H1 @ H2, A)
     assert np.array_equal(A + B, CASIMIR - UNIT)
