@@ -7,7 +7,6 @@ Every error carries the measured magnitude of the violation in
 from __future__ import annotations
 
 import math
-from typing import NoReturn
 
 
 class InvalidState(ValueError):
@@ -42,10 +41,11 @@ class PreconditionViolated(InvalidState):
     """An operation-specific input constraint does not hold."""
 
 
-def reject_non_finite(values, what: str = "coefficients") -> NoReturn:
-    """Raise ``PreconditionViolated`` with the count of non-finite ``values``."""
+def reject_non_finite(values, what: str = "coefficients") -> None:
+    """Raise ``PreconditionViolated`` if some ``values`` are not finite, with their count."""
     bad = sum(not math.isfinite(v) for v in values)
-    raise PreconditionViolated(f"{what} must be finite", violation=float(bad))
+    if bad:
+        raise PreconditionViolated(f"{what} must be finite", violation=float(bad))
 
 
 def _validated_make(cls, iterable):

@@ -4,9 +4,10 @@ Exhaustive subgroup enumeration, point stabilizers and the permutation
 matrix representation whose point-4 stabilizer realizes exactly the swap
 and cycle observables of the restricted two-qubit family. ``S3_GENERATORS``
 is the one written table of those observables; ``s3world`` builds its
-matrices from it, and ``report`` names their products by it. The engine
-computes on element indices and int bitsets of them. Only ``perm_matrix``
-uses numpy, and imports it when called, so ``sqw check s4`` runs without numpy.
+matrices from it with ``perm_matrix``, and ``report`` names their products
+by it. The engine computes on element indices and int bitsets of them. Only
+``perm_matrix`` uses numpy, and imports it when called, so ``sqw check s4``
+runs without numpy.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ def stabilizer(point: int) -> Subgroup:
 
 
 def perm_matrix(p: Perm4) -> Mat4:
-    """Rows p(1), ..., p(4) of the identity: a one at (i, p(i)), multiplicative in composition."""
-    from .linalg import UNIT
+    """A new complex array with a one at (i, p(i)), multiplicative in composition."""
+    import numpy as np
 
-    return UNIT[[p(i) - 1 for i in POINTS]]
+    return np.array([[int(p(i) == j) for j in POINTS] for i in POINTS], dtype=complex)
 
 
 def classify(subgroup: Subgroup) -> str:

@@ -14,6 +14,7 @@ forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from enum import Enum
@@ -27,7 +28,7 @@ from .errors import (
     reject_non_finite,
 )
 from .linalg import COEFF_TOL, PURE_TOL, Mat4, _as_mat4, locked
-from .permworld import POINTS, S3_GENERATORS
+from .permworld import POINTS, S3_GENERATORS, perm_matrix
 
 #: Upper edge of the positivity window for the pair sum bc + bd + cd.
 WINDOW_MAX = 1.0 / 12.0
@@ -35,13 +36,11 @@ WINDOW_MAX = 1.0 / 12.0
 _PARSED_KINDS = "SUO"
 
 
-#: ``perm_matrix`` of each of ``S3_GENERATORS`` in the table's order, a one at
-#: (i, p(i)), built from nested lists so that importing runs no numpy kernel:
-#: pair swaps H1, H2, H3 of basis states (1,2), (1,3) and (2,3), each squaring
-#: to 1, and the two cyclic shifts A = B^dagger of the first three basis states.
-H1, H2, H3, A, B = (
-    locked([[int(p(i) == j) for j in POINTS] for i in POINTS]) for p in S3_GENERATORS.values()
-)
+#: ``perm_matrix`` of each of ``S3_GENERATORS`` in the table's order, which
+#: converts nested ints, so importing does no numpy arithmetic: pair swaps H1,
+#: H2, H3 of basis states (1,2), (1,3) and (2,3), each squaring to 1, and the
+#: two cyclic shifts A = B^dagger of the first three basis states.
+H1, H2, H3, A, B = map(locked, map(perm_matrix, S3_GENERATORS.values()))
 #: H1 + H2 + H3, the count of swaps taking i to j; it commutes with all five generators.
 CASIMIR = locked([[sum(S3_GENERATORS[h](i) == j for h in ("H1", "H2", "H3")) for j in POINTS]
                   for i in POINTS])
@@ -73,8 +72,7 @@ class S3Coeffs(_S3Fields):
         # math.fabs raises TypeError on a complex sum; NaN or inf fails the test.
         dev = math.fabs(a + b + c + d - 0.5)
         if not dev <= COEFF_TOL:
-            if not all(map(math.isfinite, (a, b, c, d))):
-                reject_non_finite((a, b, c, d))
+            reject_non_finite((a, b, c, d))
             raise NormalizationViolated(
                 f"a + b + c + d differs from 1/2 by {dev:.3e}", violation=dev
             )
@@ -149,8 +147,7 @@ def reduce_five_coeff(k: float, l: float, m: float, n: float, p: float) -> S3Coe
     raises ``PreconditionViolated``; a bad sum raises ``S3Coeffs``'s
     ``NormalizationViolated`` for ``a + b + c + d`` on the folded ones.
     """
-    if not all(map(math.isfinite, (k, l, m, n, p))):
-        reject_non_finite((k, l, m, n, p))
+    reject_non_finite((k, l, m, n, p))
     return S3Coeffs(a=k - 2 * p, b=l + p, c=m + p, d=n + p)
 
 
@@ -244,12 +241,8 @@ def mean_values(coeffs: S3Coeffs) -> MeanValues:
     outside the window raises ``OutsideValidityWindow``.
     """
     _require_unit_a_state(coeffs)
-    # tr(rho H): the four entries of assemble_s3 that H picks, in np.trace's pairwise order.
-    h, b, c, d = coeffs.a / 2, coeffs.b, coeffs.c, coeffs.d
-    last = h + b + c + d
-    a1 = (b + b) + ((h + b) + last) - 1.0
-    a2 = (c + (h + c)) + (c + last) - 1.0
-    a3 = ((h + d) + d) + (d + last) - 1.0
+    rho = assemble_s3(coeffs)
+    a1, a2, a3 = (float(np.trace(rho @ h).real) - 1.0 for h in (H1, H2, H3))
     return MeanValues(a1, a2, a3, a1 * a1 + a2 * a2 + a3 * a3)
 
 
@@ -407,7 +400,7 @@ def t_grid(n: int) -> np.ndarray:
             f"grid needs at least one point, got {n}", violation=float(1 - n)
         )
     thetas = np.arange(1, n) / n * math.pi - math.pi / 2
-    return np.append(np.fromiter(map(math.tan, thetas.tolist()), float, n - 1), math.inf)
+    return np.fromiter(itertools.chain(map(math.tan, thetas), [math.inf]), float, n)
 
 
 def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -422,9 +415,14 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     raises its exact error. Worth it for grids: a batch of one costs about
     seventeen scalar calls. ``maximize_gain`` searches only through it.
     Strings, bytes, a ``bytearray`` and object arrays raise ``TypeError``, as
-    a string does in every scalar route.
+    a string does in every scalar route. A ragged ``ts``, which numpy cannot
+    read as one array, raises ``PreconditionViolated`` with violation inf.
     """
-    if isinstance(ts, bytearray) or np.asarray(ts).dtype.kind in _PARSED_KINDS:
+    try:
+        kind = np.asarray(ts).dtype.kind
+    except ValueError:  # ragged rows, say: no array to check
+        raise PreconditionViolated("numpy cannot read ts as one array", math.inf) from None
+    if isinstance(ts, bytearray) or kind in _PARSED_KINDS:
         raise TypeError(f"t must be real number, got {ts!r}")
     ts = np.asarray(ts, dtype=float)
     shape, ts = ts.shape, np.atleast_1d(ts)
@@ -432,12 +430,9 @@ def gain_curve(axis: MeasurementAxis, ts) -> tuple[np.ndarray, np.ndarray]:
     # coefficient, which no output and no check depends on.
     big = np.abs(ts) > 1.0
     b, c, d, c_before = point = np.empty((4,) + ts.shape)
-    for mask, point_at, x in (
-        (big, _circle_point_inv, 1.0 / ts[big]),
-        (~big, _circle_point, ts[~big]),
-    ):
-        for row, value in zip(point, point_at(x)):
-            row[mask] = value
+    small = ~big  # a row at a time: point[:, big] = ... takes numpy's slower mixed-index path
+    for row, far, near in zip(point, _circle_point_inv(1.0 / ts[big]), _circle_point(ts[small])):
+        row[big], row[small] = far, near
     after = _channel(axis, b, c, d)
     bad = ~(_unit_a_ok(b, c, d) & _unit_a_ok(*after))
     if bad.any():

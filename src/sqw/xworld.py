@@ -61,9 +61,7 @@ class XCoeffs(_XFields):
                 f"p and s must have 3 entries each, got {len(p)} and {len(s)}",
                 violation=float(gap),
             )
-        vals = (e, *p, *s)
-        if not all(map(math.isfinite, vals)):
-            reject_non_finite(vals)
+        reject_non_finite((e, *p, *s))
         return tuple.__new__(cls, (e, p, s))
 
     @property

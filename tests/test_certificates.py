@@ -77,6 +77,14 @@ def test_channel_is_the_matrix_channel(axis):
     assert (after - (rho + h * rho * h) / 2).applyfunc(exact) == sympy.zeros(4)
 
 
+def test_mean_values_coefficient_form():
+    # tr(rho H_i) - 1, which mean_values computes, in the coefficients.
+    rho = state(1, b, c, d)
+    want = {"H1": 4 * b + c + d, "H2": b + 4 * c + d, "H3": b + c + 4 * d}
+    for name, value in want.items():
+        assert sympy.expand((rho * swap(name)).trace() - 1 - value) == 0
+
+
 def test_mean_values_sum_of_squares():
     rho = state(1, b, c, d)
     r = sum(((rho * swap(name)).trace() - 1) ** 2 for name in ("H1", "H2", "H3"))

@@ -368,8 +368,8 @@ def test_sweep_points_above_the_bound_exit_two_before_any_grid(capsys, monkeypat
 
 
 def test_sweep_holds_no_grid_sized_array_but_the_grid(capsys, tmp_path):
-    # The grid is 8 bytes a point and t_grid's list of angles about 32 more
-    # while it builds; four more columns over the whole grid would pass 64.
+    # The grid is 8 bytes a point and t_grid's array of angles 8 more while
+    # it builds; one more column over the whole grid would pass 24.
     points = 200_000
     maximize_gain(MeasurementAxis.H2)
     tracemalloc.start()
@@ -380,7 +380,7 @@ def test_sweep_holds_no_grid_sized_array_but_the_grid(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 64 * points
+    assert peak < 24 * points
 
 
 def test_sweep_unwritable_path_exits_two(capsys, tmp_path):

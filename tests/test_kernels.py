@@ -2,9 +2,8 @@
 bare LAPACK gufunc against the numpy wrapper it replaces.
 
 ``assemble_s3`` and ``assemble_x`` place their entries, ``measure_update_matrix``
-swaps rows and columns, the oracle's spin flip reverses rows with signs, and
-``mean_values`` adds the entries that ``assemble_s3`` places, instead of
-multiplying by the constant matrices. They must give the same numbers as the
+swaps rows and columns and the oracle's spin flip reverses rows with signs,
+instead of multiplying by the constant matrices. They must give the same numbers as the
 matrix forms kept here, compared with ``==``, under which only the signs of
 zeros may differ. The inputs are seeded draws of valid states plus zeros of
 both signs, subnormals and +-1e155, whose squares are close to overflow.

@@ -611,6 +611,14 @@ def test_gain_curve_nan_raises_like_gain(axis):
     assert str(batch.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("ts", ([[1, 2], [3]], [0.5, [1.0]]), ids=("ragged", "mixed depth"))
+def test_gain_curve_rejects_a_ts_numpy_cannot_read(ts):
+    # numpy's own ValueError would carry no violation; linalg's shape rule gives inf.
+    with pytest.raises(PreconditionViolated, match="^numpy cannot read ts as one array$") as err:
+        gain_curve(MeasurementAxis.H1, ts)
+    assert err.value.violation == math.inf
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("axis", AXES)
 @pytest.mark.parametrize(
